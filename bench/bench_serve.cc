@@ -30,14 +30,7 @@
 // now writes, the checkpoint size, and the Open() restore time
 // (checkpoint load + WAL-tail replay).
 //
-// The fifth sweep is the bitmap-prefilter claim: point lookups over
-// growing corpora with the token-bitmap gate at the serving default
-// (256 bits) against a gate-disabled twin on the same corpus and
-// queries. The gate may only skip merge work, never change an answer,
-// so the sweep ABORTS (exit 1) if the gated service's total result
-// count deviates from the ungated baseline.
-//
-// The sixth sweep is the segmented-compaction scaling claim: a fixed
+// The fifth sweep is the segmented-compaction scaling claim: a fixed
 // 1k-record delta folded into corpora of increasing size, with the
 // segment chain (default merge ratio) against the collapse-every-time
 // baseline (segment_merge_ratio = 0, the pre-segmented behaviour).
@@ -46,7 +39,7 @@
 // delta-scale neighbours — while the baseline rewrites the whole corpus
 // every round.
 //
-// The seventh sweep prices the out-of-core base tier: the same durable
+// The sixth sweep prices the out-of-core base tier: the same durable
 // corpus opened materialized (resident_budget_bytes = 0, every segment
 // arena heap-copied) and mapped (a budget a quarter of the segment
 // bytes, arenas served from the mmap'd .sseg files). Reported per mode:
@@ -312,66 +305,6 @@ int main(int argc, char** argv) {
                 inserted / insert_seconds, compact_seconds, checkpoint_bytes,
                 open_seconds);
     std::fflush(stdout);
-  }
-
-  // Bitmap-prefilter sweep: gate on (serving default) vs off, growing
-  // corpus, identical queries — aborts on any result-count drift.
-  std::printf(
-      "\ncorpus,bitmap_bits,point_qps,checked_per_query,pruned_per_query,"
-      "results\n");
-  for (uint32_t corpus_size :
-       {Scaled(10000, scale), Scaled(50000, scale), Scaled(100000, scale)}) {
-    std::vector<std::string> bm_texts = CitationTexts(corpus_size);
-    TokenDictionary bm_dict;
-    RecordSet bm_corpus = WordCorpusPrefix(bm_texts, corpus_size, &bm_dict);
-    RecordSet bm_queries = WordCorpusPrefix(bm_texts, kQueries, &bm_dict);
-    // Both legs are built up front and their query passes interleaved,
-    // best-of-three per leg: on a shared machine a sequential
-    // leg-then-leg timing mostly measures load drift, not the gate.
-    std::vector<std::unique_ptr<SimilarityService>> legs;
-    for (size_t bits : {size_t{0}, kTokenBitmapBits}) {
-      ServiceOptions options;
-      options.memtable_limit = 0;
-      options.num_threads = threads;
-      options.num_shards = 4;
-      options.bitmap_bits = bits;
-      legs.push_back(
-          std::make_unique<SimilarityService>(bm_corpus, pred, options));
-    }
-    uint64_t leg_results[2] = {0, 0};
-    double leg_best_qps[2] = {0, 0};
-    for (int round = 0; round < 3; ++round) {
-      for (size_t leg = 0; leg < legs.size(); ++leg) {
-        uint64_t results = 0;
-        Timer point_timer;
-        for (RecordId q = 0; q < bm_queries.size(); ++q) {
-          results += legs[leg]
-                         ->Query(bm_queries.record(q), bm_queries.text(q))
-                         .size();
-        }
-        double qps = bm_queries.size() / point_timer.ElapsedSeconds();
-        leg_best_qps[leg] = std::max(leg_best_qps[leg], qps);
-        leg_results[leg] = results;
-      }
-      if (leg_results[1] != leg_results[0]) {
-        std::fprintf(stderr,
-                     "bitmap sweep result mismatch: corpus=%u gated leg got "
-                     "%" PRIu64 " results, ungated baseline has %" PRIu64 "\n",
-                     corpus_size, leg_results[1], leg_results[0]);
-        return 1;
-      }
-    }
-    for (size_t leg = 0; leg < legs.size(); ++leg) {
-      // Per-query stats are per-leg totals over all rounds.
-      uint64_t checked = legs[leg]->stats().merge.bitmap_checked;
-      uint64_t pruned = legs[leg]->stats().merge.bitmap_pruned;
-      double queries = 3.0 * bm_queries.size();
-      std::printf("%u,%zu,%.0f,%.1f,%.1f,%" PRIu64 "\n", corpus_size,
-                  leg == 0 ? size_t{0} : kTokenBitmapBits, leg_best_qps[leg],
-                  static_cast<double>(checked) / queries,
-                  static_cast<double>(pruned) / queries, leg_results[leg]);
-      std::fflush(stdout);
-    }
   }
 
   // Compaction scaling: fixed delta, growing corpus, chain vs collapse.

@@ -114,7 +114,7 @@ class Predicate {
   /// predicate (the default).
   virtual double MinMatchOverlap(double norm_r) const;
 
-  /// True when the token-bitmap candidate prefilter (data/token_bitmap.h)
+  /// True when ProbeJoin's token-bitmap emit gate (data/token_bitmap.h)
   /// may ride this predicate's probes. Requires only that matching is
   /// decided by the merged token overlap against the merge bound —
   /// overlap/jaccard/dice/cosine opt in; predicates with side channels

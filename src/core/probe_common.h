@@ -83,22 +83,18 @@ struct ProbeScratch {
 /// merged overlap) to `emit` in increasing id order.
 ///
 /// `required` and `filter` follow the ListMerger contracts (may be
-/// null; non-owning, must outlive the call). `gate` (optional) arms the
-/// bitmap prefilter for this probe — it never changes which candidates
-/// reach `emit` (see BitmapGate), only how much merge work they cost.
-/// The caller verifies candidates — ProbeOne prunes, it does not decide
-/// matches.
+/// null; non-owning, must outlive the call). The caller verifies
+/// candidates — ProbeOne prunes, it does not decide matches.
 template <typename IndexT>
 inline void ProbeOne(const IndexT& index, RecordView probe, double floor,
                      FunctionRef<double(RecordId)> required,
                      FunctionRef<bool(RecordId)> filter,
                      const MergeOptions& options, MergeStats* stats,
                      ProbeScratch* scratch,
-                     FunctionRef<void(const MergeCandidate&)> emit,
-                     const BitmapGate* gate = nullptr) {
+                     FunctionRef<void(const MergeCandidate&)> emit) {
   CollectProbeLists(index, probe, &scratch->lists, &scratch->probe_scores);
   scratch->merger.Reset(scratch->lists, scratch->probe_scores, floor,
-                        required, filter, options, stats, gate);
+                        required, filter, options, stats);
   MergeCandidate candidate;
   while (scratch->merger.Next(&candidate)) emit(candidate);
 }
@@ -126,8 +122,7 @@ inline void ProbeChain(const std::vector<ProbePart>& parts, RecordView probe,
                        FunctionRef<bool(RecordId)> filter,
                        const MergeOptions& options, MergeStats* stats,
                        ProbeScratch* scratch,
-                       FunctionRef<void(const MergeCandidate&)> emit,
-                       const BitmapGate* gate = nullptr) {
+                       FunctionRef<void(const MergeCandidate&)> emit) {
   scratch->lists.clear();
   scratch->probe_scores.clear();
   scratch->id_offsets.clear();
@@ -143,7 +138,7 @@ inline void ProbeChain(const std::vector<ProbePart>& parts, RecordView probe,
   }
   scratch->merger.Reset(scratch->lists, scratch->probe_scores,
                         &scratch->id_offsets, floor, required, filter,
-                        options, stats, gate);
+                        options, stats);
   MergeCandidate candidate;
   while (scratch->merger.Next(&candidate)) emit(candidate);
 }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/probe_common.h"
+#include "data/token_bitmap.h"
 #include "util/function_ref.h"
 #include "util/logging.h"
 
@@ -68,17 +69,25 @@ Result<JoinStats> ProbeJoin(const RecordSet& records, const Predicate& pred,
   merge_options.split_lists = options.optimized_merge;
   merge_options.apply_filter = options.apply_filter;
 
-  // Bitmap prefilter plumbing: the candidate lookup maps a processing
-  // position back through `order` to its record's bitmap; the probe side
-  // of the gate is re-pointed per probe below.
-  const bool use_bitmaps =
-      options.bitmap_filter && pred.supports_bitmap_pruning();
-  auto bitmap_lookup = [&](RecordId m) {
-    const TokenBitmapEntry& e = records.token_bitmap_entry(order[m]);
-    return BitmapCandidate{e.bits, static_cast<uint32_t>(e.tokens)};
-  };
-  BitmapGate gate;
-  gate.lookup = bitmap_lookup;
+  // Emit-level bitmap gate, stopword mode only: there the merger holds
+  // candidates to the REDUCED threshold while verification runs the full
+  // constant threshold, so the bitmap bound gets a cut at the gap. Each
+  // common token contributes at most probe-score times corpus-max-score,
+  // so ub * probe_pair_max bounds the pair's exact overlap; below the
+  // full threshold, Matches() must fail, and the verification is skipped
+  // without changing the emitted pairs. (The non-stopword paths need no
+  // gate: their merger already holds candidates to the exact per-pair
+  // threshold.) Entries are indexed by processing position, like the
+  // index, and built only when the gate is armed.
+  const bool emit_gated = options.bitmap_filter && options.stopwords &&
+                          pred.supports_bitmap_pruning();
+  std::vector<TokenBitmapEntry> bitmaps;
+  if (emit_gated) {
+    bitmaps.reserve(n);
+    for (uint32_t pos = 0; pos < n; ++pos) {
+      bitmaps.push_back(BuildTokenBitmap(records.record(order[pos])));
+    }
+  }
 
   // Probe-loop scratch, allocated once and reused: no per-record heap
   // allocations inside the loop.
@@ -87,21 +96,6 @@ Result<JoinStats> ProbeJoin(const RecordSet& records, const Predicate& pred,
   for (uint32_t pos = 0; pos < n; ++pos) {
     RecordId probe_id = order[pos];
     const RecordView probe = records.record(probe_id);
-    if (use_bitmaps) {
-      gate.probe_bits = records.token_bitmap(probe_id);
-      gate.probe_tokens = static_cast<uint32_t>(probe.size());
-    }
-
-    // Emit-level gate, stopword mode only: there the merger holds
-    // candidates to the REDUCED threshold while verification runs the
-    // full constant threshold, so the bitmap bound gets a second cut at
-    // the gap. Each common token contributes at most probe-score times
-    // corpus-max-score, so ub * probe_pair_max bounds the pair's exact
-    // overlap; below the full threshold, Matches() must fail, and the
-    // verification is skipped without changing the emitted pairs. (The
-    // non-stopword paths need no emit gate: their merger already holds
-    // candidates to the exact per-pair threshold.)
-    const bool emit_gated = use_bitmaps && options.stopwords;
     double probe_pair_max = 0;
     if (emit_gated) {
       for (size_t i = 0; i < probe.size(); ++i) {
@@ -111,11 +105,12 @@ Result<JoinStats> ProbeJoin(const RecordSet& records, const Predicate& pred,
       }
     }
     auto emit_gate_prunes = [&](uint32_t m) {
-      const BitmapCandidate cand = bitmap_lookup(m);
+      const TokenBitmapEntry& a = bitmaps[pos];
+      const TokenBitmapEntry& b = bitmaps[m];
       ++stats.merge.bitmap_checked;
-      const uint32_t ub =
-          TokenBitmapOverlapBound(gate.probe_bits, gate.probe_tokens,
-                                  cand.bits, cand.tokens, gate.words);
+      const uint32_t ub = TokenBitmapOverlapBound(
+          a.bits, static_cast<uint32_t>(a.tokens), b.bits,
+          static_cast<uint32_t>(b.tokens), kTokenBitmapWords);
       if (static_cast<double>(ub) * probe_pair_max <
           PruneBound(stop_plan.threshold)) {
         ++stats.merge.bitmap_pruned;
@@ -170,8 +165,7 @@ Result<JoinStats> ProbeJoin(const RecordSet& records, const Predicate& pred,
             }
             if (emit_gated && emit_gate_prunes(candidate.id)) return;
             verify_and_emit(order[candidate.id], probe_id);
-          },
-          use_bitmaps ? &gate : nullptr);
+          });
     }
 
     if (options.online) index.Insert(pos, probe, skip);

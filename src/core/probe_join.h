@@ -40,11 +40,13 @@ struct ProbeJoinOptions {
   /// Apply the predicate's norm filter while merging.
   bool apply_filter = true;
 
-  /// Arm the token-bitmap candidate prefilter (data/token_bitmap.h) for
-  /// predicates that opt in via supports_bitmap_pruning(). Answers are
-  /// byte-identical either way; the filter only skips merge/verify work.
-  /// Off by default so the serial join remains the instrumentation
-  /// baseline the parallel driver's stats are compared against.
+  /// Arm the token-bitmap emit gate (data/token_bitmap.h) for predicates
+  /// that opt in via supports_bitmap_pruning(). Acts only under
+  /// `stopwords`, where verification runs a higher threshold than the
+  /// merge bound; elsewhere it is a no-op. Answers are byte-identical
+  /// either way; the gate only skips verifications. Off by default so
+  /// the serial join remains the instrumentation baseline the parallel
+  /// driver's stats are compared against.
   bool bitmap_filter = false;
 };
 

@@ -29,27 +29,23 @@ namespace ssjoin {
 /// (|r| + |s|) / 2 bound and prunes nothing — never a wrong answer.
 ///
 /// Any PREFIX of the words keeps the inequality (dropping words can only
-/// shrink the popcount), which is what lets callers trade filter memory
-/// bandwidth for precision at probe time (`--bitmap-bits`).
+/// shrink the popcount), so a narrower consult is always sound, only
+/// weaker.
 inline constexpr size_t kTokenBitmapWords = 4;
 inline constexpr size_t kTokenBitmapBits = kTokenBitmapWords * 64;
 
-/// One record's slot in a RecordSet's bitmap arena: the parity words plus
-/// the record's token count, padded to exactly one cache line. A probe-
-/// time gate lookup needs both the bitmap AND the candidate's token count
-/// (the bound is (|r| + |s| - xor_pop) / 2); storing the count inline
-/// resolves the whole filter input with a single aligned 64-byte load
-/// instead of scattering a second read across the CSR offsets array —
-/// the lookup runs once per heap-popped candidate, so its memory traffic
-/// is the filter's entire cost. Only the parity words are persisted
-/// (checkpoints rebuild the count from the record itself).
+/// One record's filter input: the parity words plus the record's token
+/// count, padded to exactly one cache line. The bound needs both
+/// ((|r| + |s| - xor_pop) / 2), so a consult resolves its whole input
+/// with a single aligned 64-byte load — the consult runs once per
+/// candidate, so its memory traffic is the filter's entire cost.
 struct alignas(64) TokenBitmapEntry {
   uint64_t bits[kTokenBitmapWords] = {};
   uint64_t tokens = 0;  // the record's token count
   uint64_t pad[8 - kTokenBitmapWords - 1] = {};
 };
 static_assert(sizeof(TokenBitmapEntry) == 64,
-              "gate lookups rely on one arena entry per cache line");
+              "a consult relies on one entry per cache line");
 
 /// Bit position of token `t`: multiplicative (Fibonacci) hashing by the
 /// 64-bit golden ratio, top bits kept — adjacent token ids (the common
@@ -85,6 +81,17 @@ inline uint32_t TokenBitmapOverlapBound(const uint64_t* a, uint32_t tokens_a,
   const uint32_t xor_pop = TokenBitmapXorPopcount(a, b, words);
   // xor_pop <= |a Δ b| <= tokens_a + tokens_b, so this never wraps.
   return (tokens_a + tokens_b - xor_pop) / 2;
+}
+
+/// Builds `record`'s filter input. Bitmaps depend only on token SETS,
+/// never on scores, so re-weighting a record cannot stale its entry.
+inline TokenBitmapEntry BuildTokenBitmap(RecordView record) {
+  TokenBitmapEntry entry;
+  for (size_t i = 0; i < record.size(); ++i) {
+    TokenBitmapFlip(entry.bits, record.token(i));
+  }
+  entry.tokens = record.size();
+  return entry;
 }
 
 }  // namespace ssjoin

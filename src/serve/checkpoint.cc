@@ -12,7 +12,7 @@
 #include <memory>
 #include <utility>
 
-#include "index/index_io.h"
+#include "util/file_io.h"
 #include "util/logging.h"
 #include "util/mmap_file.h"
 #include "util/varint.h"
@@ -27,17 +27,15 @@ constexpr char kCheckpointFile[] = "checkpoint.ssc";
 constexpr char kWalFile[] = "wal.log";
 
 constexpr char kSegmentMagic[4] = {'S', 'S', 'S', 'G'};
-// v3: the out-of-core layout. A CRC-protected fixed header carries every
+// v4: the out-of-core layout. A CRC-protected fixed header carries every
 // count; all sections after it (record offsets, token/score CSR arenas,
 // text table + blob, global ids, per-shard id tables + posting extents,
-// and the token-bitmap block, in that order) are 64-byte-aligned and
-// byte-layout-identical to their in-memory form, so Open can mmap the
-// body and serve from views instead of decoding. The bitmap block sits
-// LAST so the whole-file integrity property of v2 (arena and bitmaps
-// must agree end to end) survives unchanged on the materialized path.
-// v1 (no bitmap block) and v2 (varint-packed body) files are rejected
-// with a clear "unsupported segment version" error.
-constexpr uint32_t kSegmentVersion = 3;
+// in that order) are 64-byte-aligned and byte-layout-identical to their
+// in-memory form, so Open can mmap the body and serve from views instead
+// of decoding. Older files — v1, v2 (varint-packed body) and v3 (the
+// same layout plus a per-record token-bitmap block) — are rejected with
+// a clear "unsupported segment version" error.
+constexpr uint32_t kSegmentVersion = 4;
 constexpr char kSegmentPrefix[] = "segment-";
 constexpr char kSegmentSuffix[] = ".sseg";
 
@@ -263,10 +261,10 @@ Result<RecordSet> DecodeRecordSet(const std::string& data, size_t* offset) {
 namespace {
 
 // ---------------------------------------------------------------------
-// v3 segment files. One deterministic layout walk (ComputeSegmentLayout)
-// is shared by the writer, the materialized loader and the mapped opener,
-// so the three can never disagree about where a section lives. All
-// multi-byte fields are host-endian raw bytes, exactly as the in-memory
+// v4 segment files. One deterministic layout walk (ComputeSegmentLayout)
+// is shared by the writer and the one opener (MapSegmentFile), so the
+// two can never disagree about where a section lives. All multi-byte
+// fields are host-endian raw bytes, exactly as the in-memory
 // structures hold them — that equivalence is what makes mmap'ing the
 // body equivalent to decoding it.
 
@@ -315,7 +313,6 @@ struct SegmentLayout {
   uint64_t text_offsets_off = 0;
   uint64_t text_blob_off = 0;
   uint64_t global_ids_off = 0;
-  uint64_t bitmaps_off = 0;
   std::vector<ShardLayout> shards;
 };
 
@@ -323,8 +320,8 @@ struct SegmentLayout {
 /// `layout`. Section order: record offsets, tokens, scores, norms, text
 /// lengths, text offsets, text blob, global ids, then per shard (member
 /// ids, short ids, extent begin/size/max_score, postings), then the
-/// bitmap block LAST, then the trailing CRC. Every section starts
-/// 64-byte-aligned (gaps are zero padding).
+/// trailing CRC. Every section starts 64-byte-aligned (gaps are zero
+/// padding).
 void ComputeSegmentLayout(SegmentLayout* layout) {
   layout->header_bytes = kSegmentFixedHeaderBytes +
                          kSegmentShardEntryBytes * layout->shards.size() +
@@ -352,7 +349,6 @@ void ComputeSegmentLayout(SegmentLayout* layout) {
     shard.max_score_off = section(layout->vocab * sizeof(double));
     shard.postings_off = section(shard.postings_cap * sizeof(Posting));
   }
-  layout->bitmaps_off = section(n * sizeof(TokenBitmapEntry));
   layout->file_size = pos + sizeof(uint32_t);  // trailing CRC
 }
 
@@ -374,15 +370,15 @@ double LoadF64(const char* base, uint64_t off) {
   return v;
 }
 
-/// Parses and verifies the v3 header of the byte range [data, data +
-/// size) — the common front half of the materialized and mapped paths.
-/// The version gate runs BEFORE the header checksum: a v1/v2 file has
-/// payload bytes where v3's header fields live, and its error must read
-/// "old format", not "corrupt". Every count is bounded against the real
-/// file size before the layout walk, so the walk cannot overflow and
-/// the derived section offsets are safe to dereference once
-/// `layout.file_size == size` holds (truncation therefore surfaces here
-/// as a Status, never as a fault on a mapped read).
+/// Parses and verifies the v4 header of the byte range [data, data +
+/// size). The version gate runs BEFORE the header checksum: an older
+/// file may have payload bytes where v4's header fields live, and its
+/// error must read "old format", not "corrupt". Every count is bounded
+/// against the real file size before the layout walk, so the walk
+/// cannot overflow and the derived section offsets are safe to
+/// dereference once `layout.file_size == size` holds (truncation
+/// therefore surfaces here as a Status, never as a fault on a mapped
+/// read).
 Result<SegmentLayout> ParseSegmentHeader(const char* data, uint64_t size,
                                          uint64_t expected_id,
                                          uint64_t num_shards,
@@ -473,7 +469,7 @@ std::vector<T> CopySection(const char* base, uint64_t off, uint64_t count) {
 
 }  // namespace
 
-/// One immutable v3 segment file: the segment's prepared arena,
+/// One immutable v4 segment file: the segment's prepared arena,
 /// global-id table and every shard part's id tables and CSR extents,
 /// laid out by ComputeSegmentLayout, header-CRC'd and whole-file-CRC'd.
 /// Dead masks and live counts are NOT here — they change after the
@@ -567,15 +563,6 @@ Status WriteSegmentFile(const std::string& data_dir,
     put_bytes(layout.text_blob_off + text_run, text.data(), text.size());
     text_run += text.size();
     put_u64(layout.text_offsets_off + (id + 1) * sizeof(uint64_t), text_run);
-    // Bitmap entries go out word by word (bits, token count, zero pads)
-    // so the file bytes are deterministic whatever the compiler did with
-    // in-memory padding.
-    const TokenBitmapEntry& entry = records.token_bitmap_entry(id);
-    const uint64_t bm = layout.bitmaps_off + id * sizeof(TokenBitmapEntry);
-    for (size_t w = 0; w < kTokenBitmapWords; ++w) {
-      put_u64(bm + w * sizeof(uint64_t), entry.bits[w]);
-    }
-    put_u64(bm + kTokenBitmapWords * sizeof(uint64_t), entry.tokens);
   }
   put_bytes(layout.global_ids_off, segment.global_ids.data(),
             segment.global_ids.size() * sizeof(RecordId));
@@ -626,182 +613,72 @@ Status WriteSegmentFile(const std::string& data_dir,
 
 namespace {
 
-/// The materialized (resident_budget_bytes == 0) loader: verifies the
-/// whole-file CRC, re-Adds every record (rebuilding frequency tables and
-/// bitmaps exactly as live insertion did), cross-checks the stored
-/// bitmap block word for word against the rebuilt arena, and rebuilds
-/// every shard index through Plan/AppendPosting with full structural
-/// validation against the stored extent tables. Everything a mapped open
-/// trusts, this path proves.
-Result<std::shared_ptr<const CorpusSegment>> LoadSegmentFile(
-    const std::string& data_dir, uint64_t expected_id, uint64_t num_shards) {
-  const std::string path = SegmentFilePath(data_dir, expected_id);
-  Result<std::string> read = ReadFileToString(path);
-  if (!read.ok()) return read.status();
-  const std::string data = std::move(read).value();
-  const char* base = data.data();
-  Result<SegmentLayout> parsed =
-      ParseSegmentHeader(base, data.size(), expected_id, num_shards, path);
-  if (!parsed.ok()) return parsed.status();
-  const SegmentLayout layout = std::move(parsed).value();
-  if (LoadU32(base, layout.file_size - sizeof(uint32_t)) !=
-      Crc32(base, layout.file_size - sizeof(uint32_t))) {
+/// The materialized (resident_budget_bytes == 0) open of a segment
+/// MapSegmentFile already parsed: proves what a mapped open trusts — the
+/// whole-file CRC, token order and range, posting id order and range,
+/// finite scores and max-score agreement — then copies everything into
+/// owned arenas and indexes. Re-Adding each record rebuilds the frequency
+/// tables exactly as live insertion did; each shard index is rebuilt
+/// through Plan/AppendPosting.
+Result<std::shared_ptr<const CorpusSegment>> MaterializeSegment(
+    const CorpusSegment& mapped, const std::string& path) {
+  const char* base = mapped.mapping->data();
+  const uint64_t body = mapped.mapping->size() - sizeof(uint32_t);
+  if (LoadU32(base, body) != Crc32(base, body)) {
     return Corrupt("segment checksum mismatch", path);
   }
-  const uint64_t n = layout.num_records;
-
-  auto segment = std::make_shared<CorpusSegment>();
-  segment->id = layout.segment_id;
-
+  const RecordSet& view = *mapped.records;
+  const uint64_t vocab = view.vocabulary_size();
   auto owned = std::make_shared<RecordSet>();
-  if (LoadU64(base, layout.offsets_off) != 0 ||
-      LoadU64(base, layout.text_offsets_off) != 0) {
-    return Corrupt("bad segment record offsets", path);
-  }
-  uint64_t prev_end = 0;
-  uint64_t prev_text = 0;
-  for (RecordId id = 0; id < n; ++id) {
-    const uint64_t end =
-        LoadU64(base, layout.offsets_off + (id + 1) * sizeof(uint64_t));
-    if (end < prev_end || end > layout.total_occurrences) {
-      return Corrupt("bad segment record offsets", path);
-    }
-    const uint32_t count = static_cast<uint32_t>(end - prev_end);
-    const TokenId* tokens =
-        reinterpret_cast<const TokenId*>(base + layout.tokens_off) + prev_end;
-    const double* scores =
-        reinterpret_cast<const double*>(base + layout.scores_off) + prev_end;
-    for (uint32_t i = 0; i < count; ++i) {
-      if (i > 0 && tokens[i] <= tokens[i - 1]) {
+  for (RecordId id = 0; id < view.size(); ++id) {
+    const RecordView record = view.record(id);
+    for (size_t i = 0; i < record.size(); ++i) {
+      if (i > 0 && record.token(i) <= record.token(i - 1)) {
         return Corrupt("non-monotone record tokens [segment arena]", path);
       }
-      if (tokens[i] >= layout.vocab) {
+      if (record.token(i) >= vocab) {
         return Corrupt("segment token out of range", path);
       }
     }
-    const double norm = LoadF64(base, layout.norms_off + id * sizeof(double));
-    const uint32_t text_length =
-        LoadU32(base, layout.text_lengths_off + id * sizeof(uint32_t));
-    const uint64_t text_end =
-        LoadU64(base, layout.text_offsets_off + (id + 1) * sizeof(uint64_t));
-    if (text_end < prev_text || text_end > layout.text_blob_bytes) {
-      return Corrupt("bad segment text offsets", path);
-    }
-    std::string text(base + layout.text_blob_off + prev_text,
-                     static_cast<size_t>(text_end - prev_text));
-    owned->Add(RecordView(tokens, scores, count, norm, text_length),
-               std::move(text));
-    prev_end = end;
-    prev_text = text_end;
-  }
-  if (prev_end != layout.total_occurrences ||
-      prev_text != layout.text_blob_bytes) {
-    return Corrupt("segment arena size disagrees with header", path);
-  }
-  segment->records = owned;
-
-  // Bitmap block: re-Adding rebuilt every bitmap from the arena; the
-  // stored block (bits, token count, zero pads — the full cache-line
-  // entry) must agree word for word or the arena and the block disagree
-  // about the token sets.
-  constexpr size_t kEntryWords = sizeof(TokenBitmapEntry) / sizeof(uint64_t);
-  for (RecordId id = 0; id < n; ++id) {
-    const uint64_t* rebuilt = owned->token_bitmap(id);
-    const uint64_t bm = layout.bitmaps_off + id * sizeof(TokenBitmapEntry);
-    for (size_t w = 0; w < kEntryWords; ++w) {
-      uint64_t expect;
-      if (w < kTokenBitmapWords) {
-        expect = rebuilt[w];
-      } else if (w == kTokenBitmapWords) {
-        expect = owned->record_size(id);
-      } else {
-        expect = 0;
-      }
-      if (LoadU64(base, bm + w * sizeof(uint64_t)) != expect) {
-        return Corrupt("segment bitmap disagrees with arena", path);
-      }
-    }
+    owned->Add(record, std::string(view.text_view(id)));
   }
 
-  segment->global_ids =
-      CopySection<RecordId>(base, layout.global_ids_off, n);
-  if (!StrictlyIncreasing(segment->global_ids)) {
-    return Corrupt("bad segment global ids", path);
-  }
-
-  segment->shards.resize(num_shards);
-  size_t members_total = 0;
-  for (size_t s = 0; s < num_shards; ++s) {
-    const ShardLayout& sh = layout.shards[s];
+  auto segment = std::make_shared<CorpusSegment>();
+  segment->id = mapped.id;
+  segment->records = std::move(owned);
+  segment->global_ids = mapped.global_ids;
+  segment->shards.resize(mapped.shards.size());
+  for (size_t s = 0; s < mapped.shards.size(); ++s) {
+    const SegmentShardPart& from = mapped.shards[s];
     SegmentShardPart& part = segment->shards[s];
-    part.member_ids =
-        CopySection<RecordId>(base, sh.member_ids_off, sh.members);
-    part.short_ids = CopySection<RecordId>(base, sh.short_ids_off, sh.shorts);
-    if (!StrictlyIncreasing(part.member_ids) ||
-        (!part.member_ids.empty() && part.member_ids.back() >= n)) {
-      return Corrupt("segment member out of range", path);
-    }
-    if (!StrictlyIncreasing(part.short_ids) ||
-        (!part.short_ids.empty() &&
-         part.short_ids.back() >= part.member_ids.size())) {
-      return Corrupt("segment short id out of range", path);
-    }
-    const uint64_t* begin =
-        reinterpret_cast<const uint64_t*>(base + sh.begin_off);
-    const uint32_t* live =
-        reinterpret_cast<const uint32_t*>(base + sh.size_off);
-    const double* max_score =
-        reinterpret_cast<const double*>(base + sh.max_score_off);
-    if (begin[0] != 0 || begin[layout.vocab] != sh.postings_cap) {
-      return Corrupt("bad segment extent table", path);
-    }
-    std::vector<uint64_t> counts(static_cast<size_t>(layout.vocab), 0);
-    uint64_t total = 0;
-    uint64_t nonempty = 0;
-    for (uint64_t t = 0; t < layout.vocab; ++t) {
-      if (begin[t + 1] < begin[t] || live[t] > begin[t + 1] - begin[t] ||
-          live[t] > sh.members) {
-        return Corrupt("bad segment extent table", path);
-      }
-      counts[t] = live[t];
-      total += live[t];
-      if (live[t] > 0) ++nonempty;
-    }
-    if (total != sh.total_postings || nonempty != sh.num_nonempty) {
-      return Corrupt("segment extent table disagrees with header", path);
+    part.member_ids = from.member_ids;
+    part.short_ids = from.short_ids;
+    part.global_ids = from.global_ids;
+    const uint64_t members = from.member_ids.size();
+    std::vector<uint64_t> counts(static_cast<size_t>(vocab), 0);
+    for (uint64_t t = 0; t < vocab; ++t) {
+      counts[t] = from.index.extent_size(static_cast<TokenId>(t));
     }
     InvertedIndex index;
     index.Plan(counts);
-    const Posting* postings =
-        reinterpret_cast<const Posting*>(base + sh.postings_off);
-    for (uint64_t t = 0; t < layout.vocab; ++t) {
+    for (uint64_t t = 0; t < vocab; ++t) {
+      const PostingListView list = from.index.list(static_cast<TokenId>(t));
       double seen_max = 0.0;
-      for (uint32_t i = 0; i < live[t]; ++i) {
-        const Posting& p = postings[begin[t] + i];
-        if ((i > 0 && p.id <= postings[begin[t] + i - 1].id) ||
-            p.id >= sh.members || !std::isfinite(p.score)) {
+      for (size_t i = 0; i < list.size(); ++i) {
+        const Posting& p = list[i];
+        if ((i > 0 && p.id <= list[i - 1].id) || p.id >= members ||
+            !std::isfinite(p.score)) {
           return Corrupt("bad segment shard index", path);
         }
         index.AppendPosting(static_cast<TokenId>(t), p.id, p.score);
         seen_max = std::max(seen_max, p.score);
       }
-      if (max_score[t] != (live[t] > 0 ? seen_max : 0.0)) {
+      if (from.index.extent_max_score(static_cast<TokenId>(t)) != seen_max) {
         return Corrupt("segment extent table disagrees with header", path);
       }
     }
-    index.RestoreStats(sh.members, sh.min_norm);
+    index.RestoreStats(members, from.index.min_norm());
     part.index = std::move(index);
-    part.global_ids.reserve(part.member_ids.size());
-    for (RecordId local : part.member_ids) {
-      part.global_ids.push_back(segment->global_ids[local]);
-    }
-    members_total += sh.members;
-  }
-  // Shard parts must partition the segment's records (each member id is
-  // in range and strictly increasing per shard; equal total forces the
-  // partition).
-  if (members_total != n) {
-    return Corrupt("segment shard parts do not partition records", path);
   }
   segment->approx_bytes = ComputeSegmentApproxBytes(*segment);
   return std::shared_ptr<const CorpusSegment>(std::move(segment));
@@ -854,9 +731,10 @@ Result<std::shared_ptr<const CorpusSegment>> MapSegmentFile(
   // No whole-file CRC pass here: verifying it would fault in every page,
   // which is exactly what mapping exists to avoid. The header CRC covers
   // every count the layout derives from; the tables copied to the heap
-  // below are validated structurally; segment files are written once
-  // (tmp + fsync + rename) and never modified afterwards. The
-  // materialized path still proves the whole file — point
+  // and the extent tables below are validated structurally, so no probe
+  // can read outside the mapping; segment files are written once (tmp +
+  // fsync + rename) and never modified afterwards. The materialized open
+  // (MaterializeSegment) still proves the whole file — point
   // `--resident-budget=0` at a directory to audit it end to end.
   const uint64_t n = layout.num_records;
 
@@ -895,16 +773,6 @@ Result<std::shared_ptr<const CorpusSegment>> MapSegmentFile(
   }
   spec.norms = CopySection<double>(base, layout.norms_off, n);
   spec.text_lengths = CopySection<uint32_t>(base, layout.text_lengths_off, n);
-  spec.bitmaps =
-      CopySection<TokenBitmapEntry>(base, layout.bitmaps_off, n);
-  for (uint64_t id = 0; id < n; ++id) {
-    // Cheap consistency tie between the bitmap block and the offsets
-    // table (the full bits-vs-arena check is the materialized path's).
-    if (spec.bitmaps[id].tokens !=
-        spec.offsets[id + 1] - spec.offsets[id]) {
-      return Corrupt("segment bitmap disagrees with arena", path);
-    }
-  }
   spec.tokens = reinterpret_cast<const TokenId*>(base + layout.tokens_off);
   spec.scores = reinterpret_cast<const double*>(base + layout.scores_off);
   spec.text_offsets =
@@ -939,15 +807,33 @@ Result<std::shared_ptr<const CorpusSegment>> MapSegmentFile(
          part.short_ids.back() >= part.member_ids.size())) {
       return Corrupt("segment short id out of range", path);
     }
+    // Extent tables: every posting run must lie inside its extent and the
+    // extents must tile the posting section, or a probe would read past
+    // the mapping. The header CRC does not cover these tables.
     const uint64_t* begin =
         reinterpret_cast<const uint64_t*>(base + sh.begin_off);
+    const uint32_t* live =
+        reinterpret_cast<const uint32_t*>(base + sh.size_off);
     if (begin[0] != 0 || begin[layout.vocab] != sh.postings_cap) {
       return Corrupt("bad segment extent table", path);
+    }
+    uint64_t total = 0;
+    uint64_t nonempty = 0;
+    for (uint64_t t = 0; t < layout.vocab; ++t) {
+      if (begin[t + 1] < begin[t] || live[t] > begin[t + 1] - begin[t] ||
+          live[t] > sh.members) {
+        return Corrupt("bad segment extent table", path);
+      }
+      total += live[t];
+      if (live[t] > 0) ++nonempty;
+    }
+    if (total != sh.total_postings || nonempty != sh.num_nonempty) {
+      return Corrupt("segment extent table disagrees with header", path);
     }
     InvertedIndex::ViewSpec ispec;
     ispec.postings = reinterpret_cast<const Posting*>(base + sh.postings_off);
     ispec.begin = begin;
-    ispec.size = reinterpret_cast<const uint32_t*>(base + sh.size_off);
+    ispec.size = live;
     ispec.max_score = reinterpret_cast<const double*>(base + sh.max_score_off);
     ispec.vocabulary_size = layout.vocab;
     ispec.num_nonempty_tokens = sh.num_nonempty;
@@ -1167,8 +1053,11 @@ Result<ServiceCheckpoint> LoadCheckpoint(const std::string& data_dir,
     const uint64_t segment_id = segment_ids[i];
     referenced.insert(segment_id);
     Result<std::shared_ptr<const CorpusSegment>> loaded =
-        map_segments ? MapSegmentFile(data_dir, segment_id, num_shards)
-                     : LoadSegmentFile(data_dir, segment_id, num_shards);
+        MapSegmentFile(data_dir, segment_id, num_shards);
+    if (loaded.ok() && !map_segments) {
+      loaded = MaterializeSegment(*loaded.value(),
+                                  SegmentFilePath(data_dir, segment_id));
+    }
     if (!loaded.ok()) return loaded.status();
     entry.segment = std::move(loaded).value();
     const CorpusSegment& segment = *entry.segment;

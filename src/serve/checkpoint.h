@@ -38,20 +38,16 @@ namespace ssjoin {
 /// collected: LoadCheckpoint unlinks every segment file the manifest
 /// does not reference. See DESIGN.md "Durability & recovery".
 ///
-/// Segment files are v3: every arena the probe path streams (record
-/// offsets, token/score CSR arenas, text blob, per-shard posting extents
-/// and the token-bitmap block) is written 64-byte-aligned and byte-
-/// layout-identical to its in-memory form, so Open can either
-/// materialize a segment (decode + revalidate everything, the
-/// `resident_budget_bytes == 0` path) or `mmap` the body read-only and
-/// serve straight from the page cache (MapSegmentFile; see DESIGN.md
-/// "Out-of-core segments").
-///
-/// Unlike SaveIndex (which quantizes posting scores to float32 — fine
-/// for batch candidate generation, where verification recomputes on full
-/// records), checkpointed shard indexes keep full double scores: the
-/// recovery contract is BYTE-identical query answers, and probe pruning
-/// reads posting scores directly.
+/// Segment files are v4: every arena the probe path streams (record
+/// offsets, token/score CSR arenas, text blob, per-shard posting extents)
+/// is written 64-byte-aligned and byte-layout-identical to its in-memory
+/// form. One opener (MapSegmentFile) parses every segment; Open then
+/// either serves the mapped body straight from the page cache or, on the
+/// `resident_budget_bytes == 0` path, verifies the whole file and copies
+/// it into heap arenas (see DESIGN.md "Out-of-core segments").
+/// Checkpointed shard indexes keep full double scores: the recovery
+/// contract is BYTE-identical query answers, and probe pruning reads
+/// posting scores directly.
 
 /// Paths of the durable artifacts inside a service data directory.
 std::string CheckpointFilePath(const std::string& data_dir);
@@ -115,7 +111,7 @@ struct GcStats {
 
 /// How LoadCheckpoint materializes segment bodies.
 struct CheckpointLoadOptions {
-  /// 0 (default): decode every segment into heap memory, fully verified
+  /// 0 (default): copy every segment into heap memory, fully verified
   /// — the historical behavior. >0: mmap segment bodies read-only and
   /// serve from views (unless the checkpoint carries a raw corpus, whose
   /// full-rebuild path needs owned sets); the budget value itself only
@@ -163,24 +159,25 @@ Status SaveCheckpoint(const std::string& data_dir, const CheckpointState& state,
 /// Reads and verifies (magic, version, trailing CRC32, structural
 /// bounds) the manifest and every segment file it references, then
 /// garbage-collects unreferenced segment files. With a non-zero
-/// resident budget, segment bodies are mapped instead of decoded (see
-/// CheckpointLoadOptions).
+/// resident budget, segment bodies stay mapped instead of being copied
+/// to the heap (see CheckpointLoadOptions).
 Result<ServiceCheckpoint> LoadCheckpoint(
     const std::string& data_dir, const CheckpointLoadOptions& options = {});
 
-/// Writes segment-<id>.sseg (v3, atomic tmp+rename). Exposed so the
+/// Writes segment-<id>.sseg (v4, atomic tmp+rename). Exposed so the
 /// service can persist a freshly merged segment at compaction time and
 /// map it straight back (the O(delta)-RSS compaction path); SaveCheckpoint
 /// skips segments already recorded in `persisted_segments`.
 Status WriteSegmentFile(const std::string& data_dir,
                         const CorpusSegment& segment);
 
-/// Maps segment-<id>.sseg read-only and builds a view-mode CorpusSegment
-/// over it: arenas and posting extents point into the mapping; the
-/// tables candidate gating reads (record offsets, norms, text lengths,
-/// token bitmaps, id tables) are small heap copies, validated against
-/// the CRC-protected header. Truncated or foreign files surface as a
-/// Status — the mapping is never dereferenced past its validated size.
+/// The one parser of segment files: maps segment-<id>.sseg read-only and
+/// builds a view-mode CorpusSegment over it. Arenas and posting extents
+/// point into the mapping; the tables candidate gating reads (record
+/// offsets, norms, text lengths, id tables) are small heap copies. Every
+/// table is validated against the CRC-protected header, the posting
+/// extent tables included. Truncated, garbled or foreign files surface
+/// as a Status — no probe is ever handed a range past the mapping.
 Result<std::shared_ptr<const CorpusSegment>> MapSegmentFile(
     const std::string& data_dir, uint64_t segment_id, uint64_t num_shards);
 

@@ -36,14 +36,25 @@ struct QueryContext {
 
 bool IdLess(const QueryMatch& a, const QueryMatch& b) { return a.id < b.id; }
 
-/// Bitmap-gate width in words for this service configuration: 0 (off)
-/// unless the predicate opted in, otherwise bitmap_bits rounded down to
-/// whole words and clamped to the stored width. Thresholded lookups gate
-/// with this; the top-k sweep never gates (its floor is 0 — nothing to
-/// prune against).
-size_t BitmapGateWords(const ServiceOptions& options, const Predicate& pred) {
-  if (!pred.supports_bitmap_pruning()) return 0;
-  return std::min(options.bitmap_bits / 64, kTokenBitmapWords);
+/// `text` as a quoted JSON string literal (quotes, backslashes and
+/// control bytes escaped).
+std::string JsonString(const std::string& text) {
+  std::string out = "\"";
+  for (char c : text) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char escaped[8];
+      std::snprintf(escaped, sizeof(escaped), "\\u%04x",
+                    static_cast<unsigned>(c));
+      out += escaped;
+    } else {
+      out += c;
+    }
+  }
+  out += '"';
+  return out;
 }
 
 /// A chain-wide id mapped back to its owning link and part-local id.
@@ -119,20 +130,6 @@ void ProbeShardTier(const Predicate& pred, const ServiceOptions& options,
   };
   FunctionRef<bool(RecordId)> filter;
   if (options.apply_filter && pred.has_norm_filter()) filter = filter_fn;
-  auto gate_lookup = [&](RecordId m) {
-    const TokenBitmapEntry& e = backing.token_bitmap_entry(to_backing(m));
-    return BitmapCandidate{e.bits, static_cast<uint32_t>(e.tokens)};
-  };
-  BitmapGate gate;
-  gate.lookup = gate_lookup;
-  const BitmapGate* gate_ptr = nullptr;
-  if (const size_t gate_words = BitmapGateWords(options, pred);
-      gate_words > 0) {
-    gate.probe_bits = staged.token_bitmap(q);
-    gate.probe_tokens = static_cast<uint32_t>(probe.size());
-    gate.words = gate_words;
-    gate_ptr = &gate;
-  }
   probe_internal::ProbeOne(
       index, probe, floor, required, filter, options.merge, &ctx->merge,
       &ctx->scratch,
@@ -149,8 +146,7 @@ void ProbeShardTier(const Predicate& pred, const ServiceOptions& options,
           out->push_back({global_ids[candidate.id],
                           backing.record(bid).OverlapWith(probe)});
         }
-      },
-      gate_ptr);
+      });
 }
 
 /// ProbeShardTier's counterpart for the segment chain: each probe token
@@ -190,23 +186,6 @@ void ProbeShardChain(const Predicate& pred, const ServiceOptions& options,
   };
   FunctionRef<bool(RecordId)> filter;
   if (options.apply_filter && pred.has_norm_filter()) filter = filter_fn;
-  auto gate_lookup = [&](RecordId chain_id) {
-    const ChainPos pos = ResolveChain(tier, chain_id);
-    const ShardChainLink& link = tier.links[pos.link];
-    const TokenBitmapEntry& e = link.segment->records->token_bitmap_entry(
-        link.part->member_ids[pos.part_local]);
-    return BitmapCandidate{e.bits, static_cast<uint32_t>(e.tokens)};
-  };
-  BitmapGate gate;
-  gate.lookup = gate_lookup;
-  const BitmapGate* gate_ptr = nullptr;
-  if (const size_t gate_words = BitmapGateWords(options, pred);
-      gate_words > 0) {
-    gate.probe_bits = staged.token_bitmap(q);
-    gate.probe_tokens = static_cast<uint32_t>(probe.size());
-    gate.words = gate_words;
-    gate_ptr = &gate;
-  }
   probe_internal::ProbeChain(
       ctx->parts, probe, floor, required, filter, options.merge, &ctx->merge,
       &ctx->scratch,
@@ -226,8 +205,7 @@ void ProbeShardChain(const Predicate& pred, const ServiceOptions& options,
           if (matched_chain != nullptr) matched_chain->insert(candidate.id);
           out->push_back({gid, backing.record(bid).OverlapWith(probe)});
         }
-      },
-      gate_ptr);
+      });
 }
 
 /// The short-record side pool, per shard tier: a short probe is checked
@@ -1365,19 +1343,22 @@ ServiceStats SimilarityService::stats() const {
 std::string SimilarityService::StatsJson() const {
   std::shared_ptr<const IndexSnapshot> snap = snapshot();
   ServiceStats copy = stats();
-  char header[256];
+  const Status durability = durability_status();
+  char header[512];
   std::snprintf(header, sizeof(header),
                 "{\"epoch\": %llu, \"num_shards\": %llu, "
                 "\"live_records\": %llu, \"base_records\": %llu, "
                 "\"memtable_records\": %llu, \"tombstones\": %llu, "
-                "\"stats\": ",
+                "\"durability_ok\": %s, \"durability_error\": ",
                 static_cast<unsigned long long>(snap->epoch),
                 static_cast<unsigned long long>(snap->num_shards()),
                 static_cast<unsigned long long>(snap->size()),
                 static_cast<unsigned long long>(snap->base_size()),
                 static_cast<unsigned long long>(snap->delta_size()),
-                static_cast<unsigned long long>(snap->pending_tombstones));
-  return std::string(header) + copy.ToJson() + "}";
+                static_cast<unsigned long long>(snap->pending_tombstones),
+                durability.ok() ? "true" : "false");
+  return std::string(header) + JsonString(durability.message()) +
+         ", \"stats\": " + copy.ToJson() + "}";
 }
 
 }  // namespace ssjoin

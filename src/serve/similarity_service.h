@@ -72,20 +72,12 @@ struct ServiceOptions {
   std::string data_dir;
   /// WAL fsync policy; meaningful only with a data_dir. See WalSyncPolicy.
   WalSyncPolicy wal_sync = WalSyncPolicy::kAlways;
-  /// Width of the token-bitmap candidate prefilter consulted per probe,
-  /// in bits: 0 disables the filter, otherwise a multiple of 64 up to
-  /// kTokenBitmapBits (values are clamped/rounded down to that grid).
-  /// Narrower widths read less memory per candidate but prune less.
-  /// Query/BatchQuery/QueryTopK answers are byte-identical for every
-  /// value — like num_shards, this is purely a cost knob. Only
-  /// predicates that opt in (supports_bitmap_pruning) are gated.
-  size_t bitmap_bits = kTokenBitmapBits;
   /// Out-of-core base tier (durable services only). 0 (default): every
   /// segment is materialized in heap memory at Open — the historical
   /// behavior, fully verified end to end. >0: segment bodies are served
   /// from mmap'd `.sseg` files (the heap holds only the gating tables:
-  /// record offsets, norms, text lengths, token bitmaps, id tables and
-  /// manifest state), and the budget steers residency advice — the
+  /// record offsets, norms, text lengths, id tables and manifest
+  /// state), and the budget steers residency advice — the
   /// newest segments fitting under the budget are marked MADV_WILLNEED,
   /// the rest MADV_RANDOM + MADV_DONTNEED so the kernel reclaims their
   /// clean pages first. Query/BatchQuery/QueryTopK answers are
@@ -242,7 +234,9 @@ class SimilarityService {
 
   /// Copy of the aggregate serving counters.
   ServiceStats stats() const;
-  /// Counters, latency quantiles and snapshot shape as a JSON object.
+  /// Counters, latency quantiles, snapshot shape and durability health
+  /// (`durability_ok`, plus the latched durability_status() message as
+  /// `durability_error`, empty while healthy) as a JSON object.
   std::string StatsJson() const;
 
   /// The current immutable view; hold the pointer to pin an epoch.

@@ -7,7 +7,7 @@
 #include <cstring>
 #include <utility>
 
-#include "index/index_io.h"
+#include "util/file_io.h"
 #include "util/varint.h"
 
 namespace ssjoin {

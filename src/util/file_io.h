@@ -1,45 +1,18 @@
-#ifndef SSJOIN_INDEX_INDEX_IO_H_
-#define SSJOIN_INDEX_INDEX_IO_H_
+#ifndef SSJOIN_UTIL_FILE_IO_H_
+#define SSJOIN_UTIL_FILE_IO_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
-#include "index/inverted_index.h"
 #include "util/status.h"
 
 namespace ssjoin {
 
-/// Index persistence: build an inverted index once, reuse it across
-/// processes ("probe many" workloads — a reference set that incoming
-/// records are matched against). Posting ids are delta+varint coded and
-/// scores quantized to float32, the same layout CompressedPostingList
-/// uses, so on-disk size tracks the Section 4 compression ratios.
-///
-/// Note: score quantization means a loaded index is bit-identical for
-/// unit-score predicates and accurate to float precision for weighted
-/// ones; candidate generation tolerates this through the standard prune
-/// slack, and verification always recomputes on full-precision records.
-
-/// Writes `index` to `path`, replacing any existing file. The write is
-/// atomic and durable: bytes land in `<path>.tmp`, are fsynced, and the
-/// tmp file is renamed over `path` — a crash or full disk mid-save leaves
-/// any previous index file untouched.
-Status SaveIndex(const InvertedIndex& index, const std::string& path);
-
-/// Reads an index previously written by SaveIndex.
-Result<InvertedIndex> LoadIndex(const std::string& path);
-
 // ---------------------------------------------------------------------
-// Shared binary-framing helpers. index_io established the serialization
-// idiom (varint ids, fixed-width IEEE floats); the serving tier's
-// write-ahead log and checkpoint files (src/serve/wal, src/serve/
-// checkpoint) reuse these exact encoders so every on-disk artifact in
-// the system frames bytes the same way.
-
-/// Appends the IEEE-754 bits of `v` (4 bytes, host endian).
-void PutFloat(std::string* out, float v);
-/// Decodes a float at data[*offset]; advances *offset. False if short.
-bool GetFloat(const std::string& data, size_t* offset, float* v);
+// Binary-framing helpers shared by every on-disk artifact (the serving
+// tier's write-ahead log, checkpoint manifest and segment files), so
+// they all frame bytes the same way.
 
 /// Appends the IEEE-754 bits of `v` (8 bytes, host endian).
 void PutDouble(std::string* out, double v);
@@ -51,8 +24,7 @@ void PutFixed32(std::string* out, uint32_t v);
 /// Decodes a fixed32 at data[*offset]; advances *offset. False if short.
 bool GetFixed32(const std::string& data, size_t* offset, uint32_t* v);
 
-/// Appends `v` as 8 raw bytes (host endian). Used for the fixed-width
-/// token-bitmap words of segment files.
+/// Appends `v` as 8 raw bytes (host endian).
 void PutFixed64(std::string* out, uint64_t v);
 /// Decodes a fixed64 at data[*offset]; advances *offset. False if short.
 bool GetFixed64(const std::string& data, size_t* offset, uint64_t* v);
@@ -63,7 +35,7 @@ bool GetFixed64(const std::string& data, size_t* offset, uint64_t* v);
 uint32_t Crc32(const void* data, size_t n, uint32_t seed = 0);
 
 // ---------------------------------------------------------------------
-// Shared file-I/O helpers with crash-safety and errno context.
+// File-I/O helpers with crash-safety and errno context.
 
 /// IOError carrying strerror(errno) context, so operators can tell
 /// ENOSPC from EACCES: "<what>: <path>: <strerror>". Capture errno
@@ -87,4 +59,4 @@ Status SyncParentDirectory(const std::string& path);
 
 }  // namespace ssjoin
 
-#endif  // SSJOIN_INDEX_INDEX_IO_H_
+#endif  // SSJOIN_UTIL_FILE_IO_H_

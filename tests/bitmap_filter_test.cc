@@ -4,27 +4,20 @@
 //     random pair and every prefix width, including adversarial shapes
 //     (all tokens colliding on one bit, empty/single-token records,
 //     saturated bitmaps);
-//   * ProbeOne with a BitmapGate streams a candidate sequence (ids AND
-//     overlaps) bit-identical to the ungated merge, for every predicate
-//     that opts in;
-//   * ProbeJoin with bitmap_filter on emits byte-identical pairs to the
-//     scalar baseline across probe modes (online/two-pass/presort/
-//     stopwords);
+//   * ProbeJoin with bitmap_filter on (its stopword emit gate) emits
+//     byte-identical pairs to the scalar baseline across probe modes
+//     (online/two-pass/presort/stopwords);
 //   * MergeLowerBound — whatever backend runtime dispatch resolved
 //     (AVX2 or scalar, see ActiveMergeBackend) — returns positions
 //     identical to the scalar galloping primitive on randomized lists;
 //     running the suite under SSJOIN_FORCE_SCALAR=1 (tools/
 //     run_scalar_tests.sh) pins the scalar backend, so both paths stay
-//     covered;
-//   * SimilarityService answers are byte-identical across bitmap widths
-//     {0, 64, 128, 192, 256}, and the candidates_bitmap_pruned counter
-//     moves exactly when it should.
+//     covered.
 //
 // The randomized sweeps honor SSJOIN_DIFF_SEEDS like the other
 // differential suites.
 
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,7 +33,6 @@
 #include "core/probe_join.h"
 #include "data/token_bitmap.h"
 #include "index/inverted_index.h"
-#include "serve/similarity_service.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -76,6 +68,11 @@ uint32_t ExactCommonTokens(RecordView a, RecordView b) {
   return common;
 }
 
+/// Record `id`'s filter input, built the way ProbeJoin builds it.
+TokenBitmapEntry Bitmap(const RecordSet& set, RecordId id) {
+  return BuildTokenBitmap(set.record(id));
+}
+
 TEST(TokenBitmapTest, OverlapBoundDominatesExactCommonForRandomPairs) {
   for (int seed = 0; seed < SeedCount(); ++seed) {
     RecordSet set = testing_util::MakeRandomRecordSet(
@@ -92,8 +89,8 @@ TEST(TokenBitmapTest, OverlapBoundDominatesExactCommonForRandomPairs) {
       uint32_t prev = na + nb;  // the vacuous 0-word bound, halved below
       for (size_t words = 1; words <= kTokenBitmapWords; ++words) {
         const uint32_t bound =
-            TokenBitmapOverlapBound(set.token_bitmap(a), na,
-                                    set.token_bitmap(b), nb, words);
+            TokenBitmapOverlapBound(Bitmap(set, a).bits, na,
+                                    Bitmap(set, b).bits, nb, words);
         EXPECT_GE(bound, exact)
             << "seed " << seed << " pair (" << a << "," << b << ") words "
             << words;
@@ -126,15 +123,15 @@ TEST(TokenBitmapTest, AllTokensCollidingOnOneBitStaysSound) {
   const uint32_t exact = ExactCommonTokens(set.record(0), set.record(1));
   EXPECT_EQ(exact, 4u);
   for (size_t words = 1; words <= kTokenBitmapWords; ++words) {
-    EXPECT_GE(TokenBitmapOverlapBound(set.token_bitmap(0), 8,
-                                      set.token_bitmap(1), 8, words),
+    EXPECT_GE(TokenBitmapOverlapBound(Bitmap(set, 0).bits, 8,
+                                      Bitmap(set, 1).bits, 8, words),
               exact)
         << "words " << words;
   }
   // Both records have an even number of tokens on the bit, so both
   // bitmaps are all-zero: XOR popcount 0, bound = (8+8)/2 = 8.
-  EXPECT_EQ(TokenBitmapOverlapBound(set.token_bitmap(0), 8,
-                                    set.token_bitmap(1), 8,
+  EXPECT_EQ(TokenBitmapOverlapBound(Bitmap(set, 0).bits, 8,
+                                    Bitmap(set, 1).bits, 8,
                                     kTokenBitmapWords),
             8u);
 }
@@ -145,24 +142,24 @@ TEST(TokenBitmapTest, EmptyAndSingleTokenRecords) {
   set.Add(Record::FromTokens({7}));                      // 1: single
   set.Add(Record::FromTokens({7, 9, 12}));               // 2
   // Empty vs anything: bound (0 + n - pop(B))/2 with pop(B) <= n.
-  EXPECT_EQ(TokenBitmapOverlapBound(set.token_bitmap(0), 0,
-                                    set.token_bitmap(0), 0,
+  EXPECT_EQ(TokenBitmapOverlapBound(Bitmap(set, 0).bits, 0,
+                                    Bitmap(set, 0).bits, 0,
                                     kTokenBitmapWords),
             0u);
-  EXPECT_GE(TokenBitmapOverlapBound(set.token_bitmap(1), 1,
-                                    set.token_bitmap(2), 3,
+  EXPECT_GE(TokenBitmapOverlapBound(Bitmap(set, 1).bits, 1,
+                                    Bitmap(set, 2).bits, 3,
                                     kTokenBitmapWords),
             1u);  // token 7 is common
-  EXPECT_LE(TokenBitmapOverlapBound(set.token_bitmap(0), 0,
-                                    set.token_bitmap(2), 3,
+  EXPECT_LE(TokenBitmapOverlapBound(Bitmap(set, 0).bits, 0,
+                                    Bitmap(set, 2).bits, 3,
                                     kTokenBitmapWords),
             1u);  // (0 + 3 - 3)/2 = 0 when no bits collide, <= 1 anyway
   // Identical single-token records: XOR cancels, bound = 1 exactly.
   RecordSet twins;
   twins.Add(Record::FromTokens({42}));
   twins.Add(Record::FromTokens({42}));
-  EXPECT_EQ(TokenBitmapOverlapBound(twins.token_bitmap(0), 1,
-                                    twins.token_bitmap(1), 1,
+  EXPECT_EQ(TokenBitmapOverlapBound(Bitmap(twins, 0).bits, 1,
+                                    Bitmap(twins, 1).bits, 1,
                                     kTokenBitmapWords),
             1u);
 }
@@ -186,130 +183,13 @@ TEST(TokenBitmapTest, SaturatedBitmapsDegradeGracefully) {
   const uint32_t exact = ExactCommonTokens(set.record(0), set.record(1));
   for (size_t words = 1; words <= kTokenBitmapWords; ++words) {
     EXPECT_GE(
-        TokenBitmapOverlapBound(set.token_bitmap(0),
+        TokenBitmapOverlapBound(Bitmap(set, 0).bits,
                                 static_cast<uint32_t>(big_a.size()),
-                                set.token_bitmap(1),
+                                Bitmap(set, 1).bits,
                                 static_cast<uint32_t>(big_b.size()), words),
         exact)
         << "words " << words;
   }
-}
-
-// ---------------------------------------------------------------------
-// Candidate-stream bit-identity at the merge level: ProbeOne with and
-// without a gate must emit the same (id, overlap) sequence.
-
-struct Candidate {
-  RecordId id;
-  double overlap;
-  bool operator==(const Candidate& other) const {
-    return id == other.id && overlap == other.overlap;
-  }
-};
-
-/// All candidate streams of probing every record of `records` against an
-/// index of all records, service-style bounds (floor + per-candidate
-/// required + optional norm filter). `gate_words` 0 = no gate.
-std::vector<std::vector<Candidate>> CollectCandidateStreams(
-    const RecordSet& records, const Predicate& pred, size_t gate_words,
-    MergeStats* stats) {
-  InvertedIndex index;
-  index.PlanFromRecords(records);
-  for (RecordId id = 0; id < records.size(); ++id) {
-    index.Insert(id, records.record(id), nullptr);
-  }
-  probe_internal::ProbeScratch scratch;
-  std::vector<std::vector<Candidate>> streams(records.size());
-  for (RecordId q = 0; q < records.size(); ++q) {
-    const RecordView probe = records.record(q);
-    double floor = pred.ThresholdForNorms(probe.norm(), index.min_norm());
-    auto required_fn = [&](RecordId m) {
-      return pred.ThresholdForNorms(probe.norm(), records.record(m).norm());
-    };
-    FunctionRef<double(RecordId)> required = required_fn;
-    auto filter_fn = [&](RecordId m) {
-      return pred.NormFilter(probe.norm(), records.record(m).norm());
-    };
-    FunctionRef<bool(RecordId)> filter;
-    if (pred.has_norm_filter()) filter = filter_fn;
-    auto lookup = [&](RecordId m) {
-      const TokenBitmapEntry& e = records.token_bitmap_entry(m);
-      return BitmapCandidate{e.bits, static_cast<uint32_t>(e.tokens)};
-    };
-    BitmapGate gate;
-    gate.lookup = lookup;
-    gate.probe_bits = records.token_bitmap(q);
-    gate.probe_tokens = static_cast<uint32_t>(probe.size());
-    gate.words = gate_words;
-    auto emit = [&](const MergeCandidate& c) {
-      streams[q].push_back({c.id, c.overlap});
-    };
-    probe_internal::ProbeOne(index, probe, floor, required, filter,
-                             MergeOptions{}, stats, &scratch, emit,
-                             gate_words > 0 ? &gate : nullptr);
-  }
-  return streams;
-}
-
-void ExpectSameStreams(const std::vector<std::vector<Candidate>>& expected,
-                       const std::vector<std::vector<Candidate>>& actual,
-                       const std::string& context) {
-  ASSERT_EQ(expected.size(), actual.size()) << context;
-  for (size_t q = 0; q < expected.size(); ++q) {
-    ASSERT_EQ(expected[q].size(), actual[q].size())
-        << context << " probe " << q;
-    for (size_t i = 0; i < expected[q].size(); ++i) {
-      EXPECT_EQ(expected[q][i].id, actual[q][i].id)
-          << context << " probe " << q << " position " << i;
-      EXPECT_EQ(expected[q][i].overlap, actual[q][i].overlap)
-          << context << " probe " << q << " position " << i;
-    }
-  }
-}
-
-void RunCandidateStreamDifferential(const Predicate& pred,
-                                    const std::string& name) {
-  for (int seed = 0; seed < SeedCount(); ++seed) {
-    RecordSet records = testing_util::MakeRandomRecordSet(
-        {.num_records = 150, .vocabulary = 70}, 500 + seed);
-    pred.Prepare(&records);
-    const std::string tag = name + " seed=" + std::to_string(seed);
-    MergeStats scalar_stats;
-    std::vector<std::vector<Candidate>> reference =
-        CollectCandidateStreams(records, pred, 0, &scalar_stats);
-    EXPECT_EQ(scalar_stats.bitmap_pruned, 0u) << tag;
-    for (size_t words = 1; words <= kTokenBitmapWords; ++words) {
-      MergeStats gated_stats;
-      ExpectSameStreams(
-          reference,
-          CollectCandidateStreams(records, pred, words, &gated_stats),
-          tag + " words=" + std::to_string(words));
-      // The gate only drops candidates the final bound check would have
-      // dropped, so the emitted-candidate counter cannot move.
-      EXPECT_EQ(gated_stats.candidates, scalar_stats.candidates)
-          << tag << " words=" << words;
-    }
-  }
-}
-
-TEST(BitmapCandidateStreamTest, OverlapBitIdentical) {
-  OverlapPredicate pred(4);
-  RunCandidateStreamDifferential(pred, "overlap");
-}
-
-TEST(BitmapCandidateStreamTest, JaccardBitIdentical) {
-  JaccardPredicate pred(0.5);
-  RunCandidateStreamDifferential(pred, "jaccard");
-}
-
-TEST(BitmapCandidateStreamTest, DiceBitIdentical) {
-  DicePredicate pred(0.6);
-  RunCandidateStreamDifferential(pred, "dice");
-}
-
-TEST(BitmapCandidateStreamTest, CosineBitIdentical) {
-  CosinePredicate pred(0.6);
-  RunCandidateStreamDifferential(pred, "cosine");
 }
 
 // ---------------------------------------------------------------------
@@ -439,90 +319,6 @@ TEST(MergeLowerBoundTest, BackendMatchesScalarPositions) {
       }
     }
   }
-}
-
-// ---------------------------------------------------------------------
-// Serving tier: byte-identical answers across every bitmap width, and
-// counter movement.
-
-TEST(BitmapServeDifferentialTest, AnswersIdenticalAcrossBitmapWidths) {
-  for (int seed = 0; seed < SeedCount(); ++seed) {
-    RecordSet corpus = testing_util::MakeRandomRecordSet(
-        {.num_records = 110, .vocabulary = 60}, 4200 + seed);
-    JaccardPredicate pred(0.5);
-    std::vector<std::unique_ptr<SimilarityService>> services;
-    for (size_t bits : {256, 0, 64, 128, 192}) {
-      ServiceOptions options;
-      options.bitmap_bits = bits;
-      options.num_shards = bits == 64 ? 3 : 1;  // one sharded rider
-      services.push_back(
-          std::make_unique<SimilarityService>(corpus, pred, options));
-    }
-    for (RecordId r = 0; r < corpus.size(); ++r) {
-      std::vector<QueryMatch> reference =
-          services[0]->Query(corpus.record(r), corpus.text(r));
-      std::vector<QueryMatch> topk_reference =
-          services[0]->QueryTopK(corpus.record(r), 6, corpus.text(r));
-      for (size_t i = 1; i < services.size(); ++i) {
-        const std::string tag = "seed=" + std::to_string(seed) +
-                                " record=" + std::to_string(r) +
-                                " service=" + std::to_string(i);
-        std::vector<QueryMatch> got =
-            services[i]->Query(corpus.record(r), corpus.text(r));
-        ASSERT_EQ(reference.size(), got.size()) << tag;
-        for (size_t m = 0; m < reference.size(); ++m) {
-          EXPECT_EQ(reference[m].id, got[m].id) << tag;
-          EXPECT_EQ(reference[m].score, got[m].score) << tag;
-        }
-        std::vector<QueryMatch> topk =
-            services[i]->QueryTopK(corpus.record(r), 6, corpus.text(r));
-        ASSERT_EQ(topk_reference.size(), topk.size()) << tag;
-        for (size_t m = 0; m < topk_reference.size(); ++m) {
-          EXPECT_EQ(topk_reference[m].id, topk[m].id) << tag;
-          EXPECT_EQ(topk_reference[m].score, topk[m].score) << tag;
-        }
-      }
-    }
-  }
-}
-
-TEST(BitmapServeCounterTest, PrunedCounterMovesExactlyWhenEnabled) {
-  // A workload with large lists (low threshold-to-size ratio puts lists
-  // in L) and many near-miss candidates: the gate must fire.
-  RecordSet corpus = testing_util::MakeRandomRecordSet(
-      {.num_records = 400, .vocabulary = 50, .min_tokens = 6,
-       .max_tokens = 14},
-      606);
-  OverlapPredicate pred(5);
-
-  ServiceOptions on;
-  on.bitmap_bits = 256;
-  SimilarityService gated(corpus, pred, on);
-  for (RecordId r = 0; r < corpus.size(); ++r) {
-    gated.Query(corpus.record(r), corpus.text(r));
-  }
-  EXPECT_GT(gated.stats().merge.bitmap_pruned, 0u)
-      << "gate never fired on a pruning workload";
-  EXPECT_GE(gated.stats().merge.bitmap_checked,
-            gated.stats().merge.bitmap_pruned)
-      << "every prune implies a consult";
-  const std::string json = gated.StatsJson();
-  EXPECT_NE(json.find("\"candidates_bitmap_checked\""), std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"candidates_bitmap_pruned\""), std::string::npos)
-      << json;
-
-  ServiceOptions off;
-  off.bitmap_bits = 0;
-  SimilarityService ungated(corpus, pred, off);
-  for (RecordId r = 0; r < corpus.size(); ++r) {
-    ungated.Query(corpus.record(r), corpus.text(r));
-  }
-  EXPECT_EQ(ungated.stats().merge.bitmap_pruned, 0u);
-  // The gate never touches what gets emitted, so the candidate counter
-  // agrees between the two services.
-  EXPECT_EQ(gated.stats().candidates, ungated.stats().candidates);
-  EXPECT_EQ(gated.stats().results, ungated.stats().results);
 }
 
 }  // namespace

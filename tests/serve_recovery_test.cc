@@ -38,11 +38,11 @@
 #include "core/jaccard_predicate.h"
 #include "core/join.h"
 #include "core/overlap_predicate.h"
-#include "index/index_io.h"
 #include "serve/checkpoint.h"
 #include "serve/similarity_service.h"
 #include "serve/wal.h"
 #include "test_util.h"
+#include "util/file_io.h"
 #include "util/rng.h"
 
 namespace ssjoin {
@@ -68,11 +68,11 @@ std::string FreshDataDir(const std::string& name) {
   return dir;
 }
 
-/// Pins a test to the materialized (budget = 0) loader even when the CI
+/// Pins a test to the materialized (budget = 0) open even when the CI
 /// harness forces the mapped path via SSJOIN_RESIDENT_BUDGET: the deep
-/// verification under test (whole-file CRC, stored-vs-rebuilt bitmap
-/// comparison) is by design exclusive to the materialized path — a
-/// mapped open cannot run it without faulting the whole file in.
+/// verification under test (whole-file CRC, body checks) is by design
+/// exclusive to the materialized path — a mapped open cannot run it
+/// without faulting the whole file in.
 class ScopedMaterialized {
  public:
   ScopedMaterialized() {
@@ -829,6 +829,10 @@ TEST(CrashRecoveryTest, FailedCheckpointLeavesOldOneRestorable) {
   options.wal_sync = WalSyncPolicy::kNever;
   SimilarityService service(corpus, pred, options);
   ASSERT_TRUE(service.durability_status().ok());
+  const std::string healthy = "\"durability_ok\": true, "
+                              "\"durability_error\": \"\"";
+  EXPECT_NE(service.StatsJson().find(healthy), std::string::npos)
+      << service.StatsJson();
 
   // Block the checkpoint's tmp path with a directory, then force a
   // compaction: the checkpoint write fails, serving continues, the
@@ -847,6 +851,13 @@ TEST(CrashRecoveryTest, FailedCheckpointLeavesOldOneRestorable) {
                 std::strerror(EISDIR)),
             std::string::npos)
       << service.durability_status().ToString();
+  // The stats JSON an operator reads over the wire reports the same.
+  const std::string failed_json = service.StatsJson();
+  EXPECT_NE(failed_json.find("\"durability_ok\": false"), std::string::npos)
+      << failed_json;
+  EXPECT_NE(failed_json.find(std::strerror(EISDIR)), std::string::npos)
+      << failed_json;
+  EXPECT_EQ(failed_json.find(healthy), std::string::npos) << failed_json;
   {
     Result<std::unique_ptr<SimilarityService>> restored =
         SimilarityService::Open(pred, options);
@@ -864,6 +875,8 @@ TEST(CrashRecoveryTest, FailedCheckpointLeavesOldOneRestorable) {
   service.Compact();
   ASSERT_TRUE(service.durability_status().ok())
       << service.durability_status().ToString();
+  EXPECT_NE(service.StatsJson().find(healthy), std::string::npos)
+      << service.StatsJson();
   Result<std::unique_ptr<SimilarityService>> restored =
       SimilarityService::Open(pred, options);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
@@ -1135,13 +1148,13 @@ TEST(SegmentFileTest, OldVersionSegmentIsRejectedWithClearError) {
   const std::string bytes = ReadAll(path);
 
   // Rewind the version field (fixed32 right after the 4-byte magic) to
-  // each superseded layout — v1 (pre-bitmap) and v2 (varint-packed, the
-  // pre-out-of-core layout) — and reseal the CRC: the file is
-  // structurally intact, so the rejection must come from the version
-  // gate with an error an operator can act on — not a generic
-  // corruption message. Both the materialized loader and the mapped
-  // opener take the same ParseSegmentHeader gate, so check both paths.
-  for (const uint32_t version : {uint32_t{1}, uint32_t{2}}) {
+  // each superseded layout — v1 (pre-bitmap), v2 (varint-packed, the
+  // pre-out-of-core layout) and v3 (with the token-bitmap block) — and
+  // reseal the CRC: the file is structurally intact, so the rejection
+  // must come from the version gate with an error an operator can act
+  // on — not a generic corruption message. Mapped and materialized
+  // opens share one parser; check both paths.
+  for (const uint32_t version : {uint32_t{1}, uint32_t{2}, uint32_t{3}}) {
     std::string old_version = bytes;
     std::memcpy(old_version.data() + 4, &version, sizeof(version));
     WriteAll(path, ResealSegment(std::move(old_version)));
@@ -1202,13 +1215,47 @@ TEST(SegmentFileTest, TruncatedSegmentMapFailsAsStatus) {
   EXPECT_TRUE(SimilarityService::Open(pred, options).ok());
 }
 
-TEST(SegmentFileTest, TamperedBitmapBlockIsRejected) {
-  ScopedMaterialized materialized;
+/// Byte offset of token `token`'s live-size entry in shard 0's extent
+/// table of a v4 segment file, walking the documented layout: a 64-byte
+/// fixed header plus one 48-byte entry per shard and a CRC, then
+/// 64-byte-aligned sections (record offsets, tokens, scores, norms, text
+/// lengths, text offsets, text blob, global ids, then shard 0's member
+/// ids, short ids, extent begins and extent sizes).
+uint64_t ShardZeroSizeEntryOffset(const std::string& bytes, TokenId token) {
+  auto u64 = [&bytes](uint64_t off) {
+    uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + off, sizeof(v));
+    return v;
+  };
+  auto align = [](uint64_t pos) { return (pos + 63) & ~uint64_t{63}; };
+  const uint64_t n = u64(16);
+  const uint64_t shards = u64(24);
+  const uint64_t vocab = u64(32);
+  const uint64_t occurrences = u64(40);
+  const uint64_t blob = u64(48);
+  const uint64_t members = u64(64);
+  const uint64_t shorts = u64(64 + 8);
+  uint64_t pos = align(64 + 48 * shards + sizeof(uint32_t));
+  for (uint64_t section :
+       {(n + 1) * 8, occurrences * 4, occurrences * 8, n * 8, n * 4,
+        (n + 1) * 8, blob, n * 4, members * 4, shorts * 4,
+        (vocab + 1) * 8}) {
+    pos = align(pos + section);
+  }
+  return pos + token * sizeof(uint32_t);
+}
+
+TEST(SegmentFileTest, GarbledExtentTableIsRejectedMappedAndMaterialized) {
+  // The extent tables sit outside the header CRC, and a mapped open
+  // skips the whole-file CRC, so a garbled live-size entry must be caught
+  // structurally — or a probe on that token reads a posting run past
+  // the mapping. The file is resealed so the materialized open gets past
+  // its CRC and must catch the damage the same way.
   OverlapPredicate pred(3);
   RecordSet corpus = testing_util::MakeRandomRecordSet(
-      {.num_records = 20, .vocabulary = 15}, 101);
+      {.num_records = 20, .vocabulary = 15}, 107);
   ServiceOptions options;
-  options.data_dir = FreshDataDir("seg_bitmap_tamper");
+  options.data_dir = FreshDataDir("seg_garbled_extent");
   options.wal_sync = WalSyncPolicy::kNever;
   { SimilarityService service(corpus, pred, options); }
   const std::set<uint64_t> files = ListSegmentFiles(options.data_dir);
@@ -1216,64 +1263,30 @@ TEST(SegmentFileTest, TamperedBitmapBlockIsRejected) {
   const std::string path = SegmentFilePath(options.data_dir, *files.begin());
   const std::string bytes = ReadAll(path);
 
-  // The bitmap block is the last thing before the trailing CRC. Flip one
-  // bit there and reseal: the CRC passes, so the loader's stored-vs-
-  // rebuilt bitmap comparison is what must catch the damage.
-  std::string tampered = bytes;
-  tampered[tampered.size() - sizeof(uint32_t) - 1] ^= 0x01;
-  WriteAll(path, ResealSegment(std::move(tampered)));
-  Result<std::unique_ptr<SimilarityService>> restored =
-      SimilarityService::Open(pred, options);
-  ASSERT_FALSE(restored.ok());
-  EXPECT_NE(restored.status().message().find("segment bitmap"),
-            std::string::npos)
-      << restored.status().ToString();
+  std::string garbled = bytes;
+  const uint32_t huge = 16777215;
+  const uint64_t at = ShardZeroSizeEntryOffset(garbled, 3);
+  ASSERT_LT(at + sizeof(huge), garbled.size());
+  std::memcpy(garbled.data() + at, &huge, sizeof(huge));
+  WriteAll(path, ResealSegment(std::move(garbled)));
+  for (const bool mapped : {false, true}) {
+    std::unique_ptr<ScopedMaterialized> pin_materialized;
+    std::unique_ptr<ScopedMapped> pin_mapped;
+    if (mapped) {
+      pin_mapped = std::make_unique<ScopedMapped>(1);
+    } else {
+      pin_materialized = std::make_unique<ScopedMaterialized>();
+    }
+    Result<std::unique_ptr<SimilarityService>> restored =
+        SimilarityService::Open(pred, options);
+    ASSERT_FALSE(restored.ok()) << "mapped=" << mapped;
+    EXPECT_NE(restored.status().message().find("corrupt checkpoint"),
+              std::string::npos)
+        << "mapped=" << mapped << ": " << restored.status().ToString();
+  }
 
   WriteAll(path, bytes);
   EXPECT_TRUE(SimilarityService::Open(pred, options).ok());
-}
-
-TEST(SegmentFileTest, RestoredBitmapsGateWithoutChangingAnswers) {
-  // A service reopened from checkpointed (v2) segments prunes through the
-  // restored bitmaps; its answers must be byte-identical to a memory-only
-  // twin with the filter disabled — the end-to-end proof that bitmaps
-  // survive the segment round trip intact.
-  JaccardPredicate pred(0.5);
-  RecordSet corpus = testing_util::MakeRandomRecordSet(
-      {.num_records = 120, .vocabulary = 40}, 103);
-  ServiceOptions options;
-  options.memtable_limit = 0;
-  options.num_shards = 3;
-  options.bitmap_bits = kTokenBitmapBits;
-  options.data_dir = FreshDataDir("seg_bitmap_roundtrip");
-  options.wal_sync = WalSyncPolicy::kNever;
-  {
-    SimilarityService service(corpus, pred, options);
-    ASSERT_TRUE(service.durability_status().ok())
-        << service.durability_status().ToString();
-  }
-  Result<std::unique_ptr<SimilarityService>> restored =
-      SimilarityService::Open(pred, options);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-
-  ServiceOptions ungated_options = options;
-  ungated_options.data_dir.clear();
-  ungated_options.bitmap_bits = 0;
-  SimilarityService ungated(corpus, pred, ungated_options);
-
-  for (RecordId r = 0; r < corpus.size(); ++r) {
-    const std::string tag = "record " + std::to_string(r);
-    ExpectSameMatches(ungated.Query(corpus.record(r), corpus.text(r)),
-                      restored.value()->Query(corpus.record(r), corpus.text(r)),
-                      tag + " query");
-    ExpectSameMatches(
-        ungated.QueryTopK(corpus.record(r), 5, corpus.text(r)),
-        restored.value()->QueryTopK(corpus.record(r), 5, corpus.text(r)),
-        tag + " topk");
-  }
-  // The restored service really did prune through the loaded bitmaps.
-  EXPECT_GT(restored.value()->stats().merge.bitmap_pruned, 0u);
-  EXPECT_EQ(ungated.stats().merge.bitmap_pruned, 0u);
 }
 
 TEST(CrashRecoveryTest, PredicateMismatchIsRejected) {

@@ -3,14 +3,14 @@
 # layout test suite under it: the arena/view/index unit tests plus the
 # golden-output equivalence suite, which together walk every probe loop
 # over the CSR corpus arena and the flat postings buffer, and the
-# durability suites (index_io, WAL framing, checkpoint codec, crash
+# durability suites (file_io, WAL framing, checkpoint codec, crash
 # recovery — including the segmented-corpus suite: multi-segment chain
 # restore, orphan segment GC and corrupt segment files), whose
 # byte-level decoders parse attacker-shaped torn and corrupted files,
 # and the network layer (protocol parser + wire framing + the loopback
 # server), whose framers chew on byte-split and oversized input. The
 # bitmap differential rig rides along: its gather-based AVX2 lower-bound
-# searches and bitmap-arena reads are exactly the pointer arithmetic
+# searches and token-bitmap reads are exactly the pointer arithmetic
 # ASan/UBSan exist to check. The serve_recovery_test_mapped leg (ctest
 # ENVIRONMENT SSJOIN_RESIDENT_BUDGET=1) repeats the recovery suite with
 # the base tier served from mmap'd segment files, so every view-mode
@@ -30,9 +30,9 @@ cmake -B "$build_dir" -S "$repo_root" -DSSJOIN_ASAN=ON \
 cmake --build "$build_dir" -j --target \
       record_view_test corpus_test segmented_corpus_test index_test \
       merge_opt_test bitmap_filter_test arena_equivalence_test \
-      differential_test index_io_test serve_recovery_test protocol_test \
+      differential_test file_io_test serve_recovery_test protocol_test \
       net_loopback_test
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
 ctest --test-dir "$build_dir" \
-      -R '^(record_view|corpus|segmented_corpus|index_test|merge_opt|bitmap_filter|arena_equivalence|differential|index_io|serve_recovery|protocol|net_loopback)' \
+      -R '^(record_view|corpus|segmented_corpus|index_test|merge_opt|bitmap_filter|arena_equivalence|differential|file_io|serve_recovery|protocol|net_loopback)' \
       --output-on-failure
