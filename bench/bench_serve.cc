@@ -3,7 +3,7 @@
 // shard-count sweep for the token-range-sharded base tier.
 //
 // The interesting trade-off is the two-tier design: every probe pays for
-// the flat base index AND the hash-map memtable, so lookups slow down as
+// the segment chain AND the memtable head, so lookups slow down as
 // the memtable grows and recover after compaction. This bench sweeps the
 // memtable fill level on a fixed corpus and reports, per level:
 //   - point-query QPS and p50/p99/max latency (from ServiceStats)
@@ -39,6 +39,11 @@
 // delta-scale neighbours — while the baseline rewrites the whole corpus
 // every round.
 //
+// A sweep between the fourth and the fifth prices one Insert against
+// the memtable it lands in: the median and p90 microseconds of 64
+// single inserts after the memtable was filled to 1, 64, 250 and 1,024
+// records. Inserts are O(the record), so the rows should read flat.
+//
 // The sixth sweep prices the out-of-core base tier: the same durable
 // corpus opened materialized (resident_budget_bytes = 0, every segment
 // arena heap-copied) and mapped (a budget a quarter of the segment
@@ -53,6 +58,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdlib>
 #include <fstream>
@@ -304,6 +310,35 @@ int main(int argc, char** argv) {
     std::printf("%s,%.0f,%.3f,%" PRIu64 ",%.3f\n", mode.name,
                 inserted / insert_seconds, compact_seconds, checkpoint_bytes,
                 open_seconds);
+    std::fflush(stdout);
+  }
+
+  // Insert cost by memtable fill: a memory-only 4-shard service fills
+  // its memtable to each level, then times the next inserts one by one.
+  // An O(record) write path reads flat across levels.
+  constexpr uint32_t kFillLevels[] = {1, 64, 250, 1024};
+  constexpr uint32_t kFillSamples = 64;
+  std::printf("\ninsert_fill,memtable_records,insert_p50_us,insert_p90_us\n");
+  for (uint32_t level : kFillLevels) {
+    if (level + kFillSamples > inserts.size()) break;
+    ServiceOptions options;
+    options.memtable_limit = 0;
+    options.num_threads = threads;
+    options.num_shards = 4;
+    SimilarityService service(corpus, pred, options);
+    uint32_t next = 0;
+    for (; next < level; ++next) {
+      service.Insert(inserts.record(next), inserts.text(next));
+    }
+    std::vector<double> micros;
+    for (uint32_t i = 0; i < kFillSamples; ++i, ++next) {
+      Timer timer;
+      service.Insert(inserts.record(next), inserts.text(next));
+      micros.push_back(timer.ElapsedSeconds() * 1e6);
+    }
+    std::sort(micros.begin(), micros.end());
+    std::printf("fill,%u,%.1f,%.1f\n", level, micros[micros.size() / 2],
+                micros[micros.size() * 9 / 10]);
     std::fflush(stdout);
   }
 

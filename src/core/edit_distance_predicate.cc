@@ -34,8 +34,14 @@ bool EditDistancePredicate::MatchesCross(const RecordSet& set_a, RecordId a,
                                          const RecordSet& set_b,
                                          RecordId b) const {
   // text_view: either side may be a mapped (view-mode) segment arena.
-  const std::string_view text_a = set_a.text_view(a);
-  const std::string_view text_b = set_b.text_view(b);
+  return MatchesRecords(set_a.record(a), set_a.text_view(a), set_b.record(b),
+                        set_b.text_view(b));
+}
+
+bool EditDistancePredicate::MatchesRecords(RecordView /*a*/,
+                                           std::string_view text_a,
+                                           RecordView /*b*/,
+                                           std::string_view text_b) const {
   if (!NormFilter(static_cast<double>(text_a.size()),
                   static_cast<double>(text_b.size()))) {
     return false;

@@ -36,6 +36,8 @@ class EditDistancePredicate : public Predicate {
   bool has_norm_filter() const override { return true; }
   bool MatchesCross(const RecordSet& set_a, RecordId a,
                     const RecordSet& set_b, RecordId b) const override;
+  bool MatchesRecords(RecordView a, std::string_view text_a, RecordView b,
+                      std::string_view text_b) const override;
   bool has_static_weights() const override { return true; }
   double ShortRecordNormBound() const override;
 

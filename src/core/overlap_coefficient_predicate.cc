@@ -24,12 +24,9 @@ double OverlapCoefficientPredicate::ThresholdForNorms(double norm_r,
   return fraction_ * std::min(norm_r, norm_s);
 }
 
-bool OverlapCoefficientPredicate::MatchesCross(const RecordSet& set_a,
-                                               RecordId a,
-                                               const RecordSet& set_b,
-                                               RecordId b) const {
-  const RecordView ra = set_a.record(a);
-  const RecordView rb = set_b.record(b);
+bool OverlapCoefficientPredicate::MatchesRecords(
+    RecordView ra, std::string_view /*text_a*/, RecordView rb,
+    std::string_view /*text_b*/) const {
   // 0/0 guard: an empty record matches nothing. Without this, the default
   // overlap >= T comparison would accept 0 >= 0 — a pair the index-based
   // algorithms can never surface (no shared token).

@@ -26,8 +26,8 @@ class OverlapCoefficientPredicate : public Predicate {
   std::string name() const override { return "overlap-coefficient"; }
   void Prepare(RecordSet* records) const override;
   double ThresholdForNorms(double norm_r, double norm_s) const override;
-  bool MatchesCross(const RecordSet& set_a, RecordId a,
-                    const RecordSet& set_b, RecordId b) const override;
+  bool MatchesRecords(RecordView a, std::string_view text_a, RecordView b,
+                      std::string_view text_b) const override;
 
   double fraction() const { return fraction_; }
 

@@ -18,8 +18,12 @@ void Predicate::PrepareIncremental(const RecordSet& /*reference*/,
 
 bool Predicate::MatchesCross(const RecordSet& set_a, RecordId a,
                              const RecordSet& set_b, RecordId b) const {
-  const RecordView ra = set_a.record(a);
-  const RecordView rb = set_b.record(b);
+  return MatchesRecords(set_a.record(a), {}, set_b.record(b), {});
+}
+
+bool Predicate::MatchesRecords(RecordView ra, std::string_view /*text_a*/,
+                               RecordView rb,
+                               std::string_view /*text_b*/) const {
   if (!NormFilter(ra.norm(), rb.norm())) return false;
   return ra.OverlapWith(rb) >= ThresholdForNorms(ra.norm(), rb.norm());
 }

@@ -3,6 +3,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/record.h"
@@ -76,10 +77,18 @@ class Predicate {
   }
 
   /// Exact decision for a pair drawn from two (possibly equal) record
-  /// sets. Subclasses add verification beyond the overlap test (edit
-  /// distance) by overriding this.
+  /// sets. The default decides on the records alone (MatchesRecords with
+  /// empty texts); predicates that verify on the original text (edit
+  /// distance) override it to pass the retained texts.
   virtual bool MatchesCross(const RecordSet& set_a, RecordId a,
                             const RecordSet& set_b, RecordId b) const;
+
+  /// The same decision for records held outside any RecordSet (the
+  /// serving tier's memtable head): views plus their retained texts
+  /// (empty when not retained). Subclasses add verification beyond the
+  /// overlap test by overriding this.
+  virtual bool MatchesRecords(RecordView a, std::string_view text_a,
+                              RecordView b, std::string_view text_b) const;
 
   /// The threshold when it does not depend on the pair (T-overlap, cosine);
   /// enables the stopword, Pair-Count and Word-Groups optimizations.

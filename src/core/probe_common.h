@@ -99,21 +99,41 @@ inline void ProbeOne(const IndexT& index, RecordView probe, double floor,
   while (scratch->merger.Next(&candidate)) emit(candidate);
 }
 
-/// One link of a segment-chained probe: an inverted index over a
-/// segment's local id space plus the offset that maps its local ids into
-/// the chain-wide id space. Chains are short (the serving tier's merge
-/// policy keeps them logarithmic in corpus size).
-struct ProbePart {
-  const InvertedIndex* index = nullptr;
-  RecordId id_offset = 0;
+/// One link of a chained probe: a posting source over a local id space
+/// plus the offset that maps its local ids into the chain-wide id space.
+/// A source is anything with `PostingListView list(TokenId) const` that
+/// returns an empty view for tokens it does not hold — a flat
+/// InvertedIndex (a segment part) or the serving tier's append-only
+/// memtable head, bounded by its published length. The part borrows the
+/// source, which must outlive every probe through it. Chains are short
+/// (the serving tier's merge policy keeps them logarithmic in corpus
+/// size).
+class ProbePart {
+ public:
+  template <typename Source>
+  ProbePart(const Source& source, RecordId id_offset)
+      : source_(&source),
+        list_([](const void* s, TokenId t) {
+          return static_cast<const Source*>(s)->list(t);
+        }),
+        id_offset_(id_offset) {}
+
+  PostingListView list(TokenId t) const { return list_(source_, t); }
+  RecordId id_offset() const { return id_offset_; }
+
+ private:
+  const void* source_;
+  PostingListView (*list_)(const void*, TokenId);
+  RecordId id_offset_;
 };
 
-/// ProbeOne generalized to a chain of per-segment indexes over DISJOINT
-/// id ranges: each token contributes one posting list per segment that
-/// holds it, all merged as one id space via the ListMerger id-offset
-/// path. Candidates stream to `emit` in increasing chain-wide id order,
-/// exactly as if the segments had been concatenated into one index —
-/// a candidate's overlap accumulates only its own segment's lists, so
+/// ProbeOne generalized to a chain of posting sources over DISJOINT id
+/// ranges (segment parts, then the memtable head): each token contributes
+/// one posting list per link that holds it, all merged as one id space
+/// via the ListMerger id-offset path. Candidates stream to `emit` in
+/// increasing chain-wide id order, exactly as if the links had been
+/// concatenated into one index — a candidate's overlap accumulates only
+/// its own link's lists, so
 /// the merged overlap equals the unsegmented one up to floating-point
 /// reassociation, which the PruneBound slack absorbs before exact
 /// verification. `required`/`filter` see chain-wide ids.
@@ -128,12 +148,11 @@ inline void ProbeChain(const std::vector<ProbePart>& parts, RecordView probe,
   scratch->id_offsets.clear();
   for (size_t i = 0; i < probe.size(); ++i) {
     for (const ProbePart& part : parts) {
-      if (probe.token(i) >= part.index->token_capacity()) continue;
-      PostingListView list = part.index->list(probe.token(i));
+      PostingListView list = part.list(probe.token(i));
       if (list.empty()) continue;
       scratch->lists.push_back(list);
       scratch->probe_scores.push_back(probe.score(i));
-      scratch->id_offsets.push_back(part.id_offset);
+      scratch->id_offsets.push_back(part.id_offset());
     }
   }
   scratch->merger.Reset(scratch->lists, scratch->probe_scores,

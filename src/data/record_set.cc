@@ -33,15 +33,14 @@ RecordSet RecordSet::MakeView(ViewSpec spec) {
 RecordId RecordSet::Add(RecordView record, std::string text) {
   SSJOIN_CHECK(!is_view()) << "RecordSet::Add on a view set";
   RecordId id = static_cast<RecordId>(size());
-  for (size_t i = 0; i < record.size(); ++i) {
-    TokenId t = record.token(i);
-    SSJOIN_DCHECK(i == 0 || record.token(i - 1) < t);
-    if (t >= doc_frequency_.size()) {
-      doc_frequency_.resize(t + 1, 0);
-      term_frequency_.resize(t + 1, 0);
-    }
-    ++doc_frequency_[t];
-    ++term_frequency_[t];
+  for (size_t i = 1; i < record.size(); ++i) {
+    SSJOIN_DCHECK(record.token(i - 1) < record.token(i));
+  }
+  // Tokens are strictly increasing, so the last one is the largest. The
+  // frequency table is left to doc_frequencies(): Add stays O(record).
+  if (!record.empty()) {
+    const size_t end = static_cast<size_t>(record.token(record.size() - 1)) + 1;
+    vocabulary_size_ = std::max(vocabulary_size_, end);
   }
   // Self-insertion safety: `record` may view this set's own arena, whose
   // buffers can move when they grow. Resolve such views to an index first
@@ -74,12 +73,22 @@ RecordId RecordSet::Add(RecordView record, std::string text) {
   return id;
 }
 
-uint64_t RecordSet::doc_frequency(TokenId t) const {
-  return t < doc_frequency_.size() ? doc_frequency_[t] : 0;
+const std::vector<uint64_t>& RecordSet::doc_frequencies() const {
+  if (is_view() || frequency_records_ == size()) return doc_frequency_;
+  // Records are append-only and Add never changes an earlier record's
+  // tokens, so catching up on the newcomers is exact.
+  doc_frequency_.resize(vocabulary_size_, 0);
+  const size_t begin = offsets_[frequency_records_];
+  for (size_t i = begin; i < token_arena_.size(); ++i) {
+    ++doc_frequency_[token_arena_[i]];
+  }
+  frequency_records_ = size();
+  return doc_frequency_;
 }
 
-uint64_t RecordSet::term_frequency(TokenId t) const {
-  return t < term_frequency_.size() ? term_frequency_[t] : 0;
+uint64_t RecordSet::doc_frequency(TokenId t) const {
+  const std::vector<uint64_t>& df = doc_frequencies();
+  return t < df.size() ? df[t] : 0;
 }
 
 double RecordSet::average_record_size() const {
@@ -113,7 +122,7 @@ uint64_t RecordSet::ApproxMemoryBytes() const {
   bytes += offsets_.size() * sizeof(size_t);
   bytes += norms_.size() * sizeof(double);
   bytes += text_lengths_.size() * sizeof(uint32_t);
-  bytes += (doc_frequency_.size() + term_frequency_.size()) * sizeof(uint64_t);
+  bytes += doc_frequency_.size() * sizeof(uint64_t);
   for (const std::string& t : texts_) bytes += sizeof(std::string) + t.size();
   return bytes;
 }
@@ -126,6 +135,7 @@ const TokenStats& RecordSet::token_stats() const {
       stats_score_version_ == score_version_) {
     return token_stats_;
   }
+  const std::vector<uint64_t>& df = doc_frequencies();
   TokenStats& stats = token_stats_;
   stats.max_token_scores.assign(vocabulary_size(), 0.0);
   for (size_t i = 0; i < token_arena_.size(); ++i) {
@@ -137,9 +147,7 @@ const TokenStats& RecordSet::token_stats() const {
             stats.tokens_by_frequency.end(), 0);
   std::stable_sort(stats.tokens_by_frequency.begin(),
                    stats.tokens_by_frequency.end(),
-                   [this](TokenId a, TokenId b) {
-                     return doc_frequency_[a] > doc_frequency_[b];
-                   });
+                   [&df](TokenId a, TokenId b) { return df[a] > df[b]; });
   stats_structure_version_ = structure_version_;
   stats_score_version_ = score_version_;
   return token_stats_;

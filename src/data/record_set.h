@@ -29,9 +29,10 @@ struct TokenStats {
 
 /// The join input: a columnar CSR arena of records plus the corpus-level
 /// token statistics the algorithms and weighting schemes need (document
-/// frequency for stopword selection and list-length estimates, total term
-/// frequency for TF-IDF). Optionally retains the original text of each
-/// record for edit-distance verification and for human-readable output.
+/// frequency for stopword selection, list-length estimates and TF-IDF),
+/// counted on demand so that appending a record costs O(its tokens).
+/// Optionally retains the original text of each record for edit-distance
+/// verification and for human-readable output.
 ///
 /// Storage layout (the memory spine every hot loop streams over; see
 /// DESIGN.md "Memory layout"):
@@ -157,26 +158,32 @@ class RecordSet {
     return texts_[id];
   }
 
-  /// Number of distinct tokens seen across all records. In view mode
-  /// this is restored from the segment header (the per-token frequency
-  /// tables are not rebuilt for mapped segments).
+  /// One past the largest token id seen across all records (the
+  /// planning vocabulary: frequency tables and index extents span it). In
+  /// view mode this is restored from the segment header.
   size_t vocabulary_size() const {
     return is_view() ? static_cast<size_t>(view_vocabulary_size_)
-                     : doc_frequency_.size();
+                     : vocabulary_size_;
   }
 
   /// Number of records containing token `t` (0 for unseen tokens).
   uint64_t doc_frequency(TokenId t) const;
-  const std::vector<uint64_t>& doc_frequencies() const {
-    return doc_frequency_;
-  }
+  /// The per-token document-frequency table, vocabulary_size() entries.
+  /// Add() does not maintain it — a one-record set must cost O(its
+  /// tokens), not O(dictionary) — so the first call after an Add counts
+  /// the records added since the last call. Same thread-safety contract
+  /// as token_stats(): warm it (any call) before sharing the set across
+  /// threads; a warm table is only read. Empty in view mode (mapped
+  /// segments are probed through their prebuilt indexes, never
+  /// re-planned).
+  const std::vector<uint64_t>& doc_frequencies() const;
 
-  /// Total occurrences of token `t` over all records, counting within-record
-  /// multiplicity recorded at tokenization time. With set semantics this
-  /// equals doc_frequency.
-  uint64_t term_frequency(TokenId t) const;
+  /// Total occurrences of token `t` over all records. Records carry set
+  /// semantics (strictly increasing tokens), so this IS the document
+  /// frequency; both names read the one table.
+  uint64_t term_frequency(TokenId t) const { return doc_frequency(t); }
   const std::vector<uint64_t>& term_frequencies() const {
-    return term_frequency_;
+    return doc_frequencies();
   }
 
   /// Sum of record sizes == total word occurrences W of Section 4.
@@ -203,7 +210,8 @@ class RecordSet {
   /// Cached per-token statistics, recomputed lazily when records were
   /// added or scores changed since the last call. Not thread-safe: call
   /// once from the serial planning phase before any parallel fan-out
-  /// (every join driver does this before spawning workers).
+  /// (every join driver does this before spawning workers). Warms
+  /// doc_frequencies() too.
   const TokenStats& token_stats() const;
 
  private:
@@ -226,9 +234,13 @@ class RecordSet {
   uint64_t view_vocabulary_size_ = 0;
   std::shared_ptr<const void> backing_;
 
-  std::vector<uint64_t> doc_frequency_;
-  std::vector<uint64_t> term_frequency_;
+  size_t vocabulary_size_ = 0;  // owned mode; max token id + 1
   uint64_t total_occurrences_ = 0;
+
+  // Document-frequency table, counted on demand (see doc_frequencies()):
+  // it covers records [0, frequency_records_).
+  mutable std::vector<uint64_t> doc_frequency_;
+  mutable size_t frequency_records_ = 0;
 
   // Token-stats cache, keyed on the two version counters: Add bumps the
   // structure version, set_score bumps the score version only on actual

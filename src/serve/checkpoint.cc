@@ -614,11 +614,11 @@ Status WriteSegmentFile(const std::string& data_dir,
 namespace {
 
 /// The materialized (resident_budget_bytes == 0) open of a segment
-/// MapSegmentFile already parsed: proves what a mapped open trusts — the
-/// whole-file CRC, token order and range, posting id order and range,
-/// finite scores and max-score agreement — then copies everything into
-/// owned arenas and indexes. Re-Adding each record rebuilds the frequency
-/// tables exactly as live insertion did; each shard index is rebuilt
+/// MapSegmentFile already parsed (posting ids included): proves what a
+/// mapped open trusts — the whole-file CRC, token order and range, finite
+/// scores and max-score agreement — then copies everything into owned
+/// arenas and indexes. The frequency table is counted before the segment
+/// is shared, as BuildCorpusSegment does; each shard index is rebuilt
 /// through Plan/AppendPosting.
 Result<std::shared_ptr<const CorpusSegment>> MaterializeSegment(
     const CorpusSegment& mapped, const std::string& path) {
@@ -642,6 +642,7 @@ Result<std::shared_ptr<const CorpusSegment>> MaterializeSegment(
     }
     owned->Add(record, std::string(view.text_view(id)));
   }
+  owned->doc_frequencies();
 
   auto segment = std::make_shared<CorpusSegment>();
   segment->id = mapped.id;
@@ -666,8 +667,7 @@ Result<std::shared_ptr<const CorpusSegment>> MaterializeSegment(
       double seen_max = 0.0;
       for (size_t i = 0; i < list.size(); ++i) {
         const Posting& p = list[i];
-        if ((i > 0 && p.id <= list[i - 1].id) || p.id >= members ||
-            !std::isfinite(p.score)) {
+        if (!std::isfinite(p.score)) {
           return Corrupt("bad segment shard index", path);
         }
         index.AppendPosting(static_cast<TokenId>(t), p.id, p.score);
@@ -829,6 +829,20 @@ Result<std::shared_ptr<const CorpusSegment>> MapSegmentFile(
     }
     if (total != sh.total_postings || nonempty != sh.num_nonempty) {
       return Corrupt("segment extent table disagrees with header", path);
+    }
+    // Posting ids: a probe resolves each candidate through the part's
+    // member table, so every run must be strictly increasing and below
+    // the member count, or one garbled id sends a lookup past the table.
+    // This reads the posting section once; arenas and texts stay cold.
+    const Posting* postings =
+        reinterpret_cast<const Posting*>(base + sh.postings_off);
+    for (uint64_t t = 0; t < layout.vocab; ++t) {
+      const Posting* run = postings + begin[t];
+      for (uint32_t i = 0; i < live[t]; ++i) {
+        if (run[i].id >= sh.members || (i > 0 && run[i].id <= run[i - 1].id)) {
+          return Corrupt("bad segment posting ids", path);
+        }
+      }
     }
     InvertedIndex::ViewSpec ispec;
     ispec.postings = reinterpret_cast<const Posting*>(base + sh.postings_off);

@@ -57,221 +57,206 @@ std::string JsonString(const std::string& text) {
   return out;
 }
 
-/// A chain-wide id mapped back to its owning link and part-local id.
-struct ChainPos {
-  size_t link;
-  RecordId part_local;
+/// One shard of a snapshot as a probe target: the segment links with the
+/// memtable head as the last link, at chain-wide offset
+/// tier.num_entities. Every probe path — thresholded, short pool, top-k
+/// — walks this one chain.
+struct ShardChain {
+  const ShardedBaseTier& tier;
+  const MemtableHead& head;
+
+  ShardChain(const IndexSnapshot& snap, size_t shard)
+      : tier(*snap.base[shard]), head(snap.heads[shard]) {}
+
+  size_t head_link() const { return tier.links.size(); }
+  RecordId head_offset() const {
+    return static_cast<RecordId>(tier.num_entities);
+  }
+  bool empty() const { return tier.num_entities == 0 && head.visible == 0; }
+  double min_norm() const { return std::min(tier.min_norm, head.min_norm); }
+
+  /// The chain's posting sources, segment links first, in id order.
+  void CollectParts(std::vector<probe_internal::ProbePart>* parts) const {
+    parts->clear();
+    for (const ShardChainLink& link : tier.links) {
+      parts->emplace_back(link.part->index, link.id_offset);
+    }
+    parts->emplace_back(head, head_offset());
+  }
 };
 
-/// The last link whose offset is at or below `chain_id`. Empty parts
-/// share their successor's offset, and a probed id always belongs to a
-/// non-empty part, so "last" resolves ties to the real owner.
-ChainPos ResolveChain(const ShardedBaseTier& tier, RecordId chain_id) {
+/// A chain-wide id mapped back to its owning link and link-local id
+/// (part-local for a segment, memtable-local for the head).
+struct ChainPos {
+  size_t link;
+  RecordId local;
+};
+
+/// The head for ids past the segment links; otherwise the last link whose
+/// offset is at or below `chain_id`. Empty parts share their successor's
+/// offset, and a probed id always belongs to a non-empty part, so "last"
+/// resolves ties to the real owner.
+ChainPos ResolveChain(const ShardChain& chain, RecordId chain_id) {
+  if (chain_id >= chain.head_offset()) {
+    return {chain.head_link(), chain_id - chain.head_offset()};
+  }
+  const std::vector<ShardChainLink>& links = chain.tier.links;
   size_t lo = 0;
-  size_t hi = tier.links.size();
+  size_t hi = links.size();
   while (hi - lo > 1) {
     size_t mid = lo + (hi - lo) / 2;
-    if (tier.links[mid].id_offset <= chain_id) {
+    if (links[mid].id_offset <= chain_id) {
       lo = mid;
     } else {
       hi = mid;
     }
   }
-  return {lo, chain_id - tier.links[lo].id_offset};
+  return {lo, chain_id - links[lo].id_offset};
 }
 
-/// Whether a part member was masked dead (deleted after its segment was
-/// built). Masked members keep their postings until a merge drops them
-/// physically, so every chain probe path must apply this to candidates
-/// BEFORE verification — same contract as the tombstone filter.
-bool IsMaskedDead(const ShardChainLink& link, RecordId part_local) {
-  return link.dead != nullptr &&
-         std::binary_search(link.dead->begin(), link.dead->end(), part_local);
+double MemberNorm(const ShardChain& chain, RecordId chain_id) {
+  const ChainPos pos = ResolveChain(chain, chain_id);
+  if (pos.link == chain.head_link()) {
+    return chain.head.memtable->record(pos.local).norm();
+  }
+  const ShardChainLink& link = chain.tier.links[pos.link];
+  return link.segment->records->record(link.part->member_ids[pos.local])
+      .norm();
 }
 
-/// Probes one shard tier for `staged.record(q)` and appends every
-/// VERIFIED match as a global-id QueryMatch. The index speaks local ids;
-/// `backing_ids` maps them into `backing` (nullptr when local ids ARE
-/// backing ids, i.e. delta shards) and `global_ids` maps them to corpus
-/// ids. `tombstones` is the shard's pending-delete list (sorted global
-/// ids, may be null): a tombstoned candidate is dropped before
-/// verification, exactly as if compaction had already removed its
-/// postings — only base tiers need this, delta images exclude tombstoned
-/// records at build time. The probe mirrors the batch drivers
-/// bound-for-bound: floor = T(probe, minS of the shard tier) — a valid,
-/// per-shard-tighter lower bound, since every candidate bound
-/// T(probe, ||m||) dominates it — per candidate bound, optional norm
-/// range filter, then the predicate's canonical MatchesCross decision,
-/// so a sharded query accepts a pair exactly when the batch join (and
-/// the 1-shard service) would.
-template <typename IndexT>
-void ProbeShardTier(const Predicate& pred, const ServiceOptions& options,
-                    const IndexT& index, const RecordSet& backing,
-                    const std::vector<RecordId>* backing_ids,
-                    const std::vector<RecordId>& global_ids,
-                    const std::vector<RecordId>* tombstones,
-                    const RecordSet& staged, RecordId q, size_t shard,
-                    QueryContext* ctx, std::vector<QueryMatch>* out,
-                    std::unordered_set<RecordId>* matched_local) {
-  const RecordView probe = staged.record(q);
-  if (index.num_entities() == 0 || probe.empty()) return;
-  auto to_backing = [&](RecordId local) {
-    return backing_ids != nullptr ? (*backing_ids)[local] : local;
-  };
-  double floor = pred.ThresholdForNorms(probe.norm(), index.min_norm());
-  auto required_fn = [&](RecordId m) {
-    return pred.ThresholdForNorms(probe.norm(),
-                                  backing.record(to_backing(m)).norm());
-  };
-  FunctionRef<double(RecordId)> required = required_fn;
-  auto filter_fn = [&](RecordId m) {
-    return pred.NormFilter(probe.norm(),
-                           backing.record(to_backing(m)).norm());
-  };
-  FunctionRef<bool(RecordId)> filter;
-  if (options.apply_filter && pred.has_norm_filter()) filter = filter_fn;
-  probe_internal::ProbeOne(
-      index, probe, floor, required, filter, options.merge, &ctx->merge,
-      &ctx->scratch,
-      [&](const MergeCandidate& candidate) {
-        if (tombstones != nullptr &&
-            probe_internal::IsTombstoned(*tombstones,
-                                         global_ids[candidate.id])) {
-          return;
-        }
-        ++ctx->shard_candidates[shard];
-        const RecordId bid = to_backing(candidate.id);
-        if (pred.MatchesCross(backing, bid, staged, q)) {
-          if (matched_local != nullptr) matched_local->insert(candidate.id);
-          out->push_back({global_ids[candidate.id],
-                          backing.record(bid).OverlapWith(probe)});
-        }
-      });
+/// A chain member a delete does not hide, resolved to where its record
+/// lives: a segment arena slot, or a memtable-head record and its text.
+struct LiveMember {
+  RecordId gid;
+  RecordView record;
+  const RecordSet* backing = nullptr;  // segment arena; null for the head
+  RecordId backing_id = 0;
+  std::string_view head_text;
+
+  /// The predicate's canonical decision against staged.record(q).
+  bool Matches(const Predicate& pred, const RecordSet& staged,
+               RecordId q) const {
+    if (backing != nullptr) {
+      return pred.MatchesCross(*backing, backing_id, staged, q);
+    }
+    return pred.MatchesRecords(record, head_text, staged.record(q),
+                               staged.text_view(q));
+  }
+};
+
+/// Resolves chain member `chain_id` into `out`; false when a delete hides
+/// it — masked dead in its segment (deleted after the segment was built),
+/// or tombstoned in this shard since its last compaction. Every chain
+/// probe path applies this to candidates BEFORE verification: a hidden
+/// record is not a candidate at all, exactly as if compaction had
+/// already dropped its postings.
+bool ResolveLive(const ShardChain& chain, RecordId chain_id,
+                 LiveMember* out) {
+  const ChainPos pos = ResolveChain(chain, chain_id);
+  if (pos.link == chain.head_link()) {
+    const MemtableShard& memtable = *chain.head.memtable;
+    out->gid = memtable.global_id(pos.local);
+    out->record = memtable.record(pos.local);
+    out->backing = nullptr;
+    out->head_text = memtable.text(pos.local);
+  } else {
+    const ShardChainLink& link = chain.tier.links[pos.link];
+    if (link.dead != nullptr &&
+        std::binary_search(link.dead->begin(), link.dead->end(),
+                           pos.local)) {
+      return false;
+    }
+    out->gid = link.part->global_ids[pos.local];
+    out->backing = link.segment->records.get();
+    out->backing_id = link.part->member_ids[pos.local];
+    out->record = out->backing->record(out->backing_id);
+  }
+  return chain.head.tombstones == nullptr ||
+         !probe_internal::IsTombstoned(*chain.head.tombstones, out->gid);
 }
 
-/// ProbeShardTier's counterpart for the segment chain: each probe token
-/// contributes one posting-list view per segment part, all merged as ONE
-/// id space by the ListMerger id-offset path, so candidates stream in
+/// Probes one shard's chain for `staged.record(q)` and appends every
+/// VERIFIED match as a global-id QueryMatch. Each probe token contributes
+/// one posting-list view per link — every segment part, then the
+/// memtable head bounded by its published length — all merged as ONE id
+/// space by the ListMerger id-offset path, so candidates stream in
 /// increasing chain-wide id order exactly as if the chain were a single
-/// concatenated index. Masked-dead members (ShardChainLink::dead) are
-/// dropped alongside tombstoned ones before verification; bounds resolve
-/// through the candidate's owning segment record, so the probe is
-/// bound-for-bound identical to the unsegmented tier.
+/// concatenated index. The probe mirrors the batch drivers bound-for-
+/// bound: floor = T(probe, minS of the chain) — a valid, per-shard-
+/// tighter lower bound, since every candidate bound T(probe, ||m||)
+/// dominates it — per candidate bound, optional norm range filter, then
+/// the predicate's canonical decision, so a sharded query accepts a pair
+/// exactly when the batch join (and the 1-shard service) would.
+/// `matched_chain` (short probes only) collects the accepted chain ids.
 void ProbeShardChain(const Predicate& pred, const ServiceOptions& options,
-                     const ShardedBaseTier& tier,
-                     const std::vector<RecordId>* tombstones,
-                     const RecordSet& staged, RecordId q, size_t shard,
-                     QueryContext* ctx, std::vector<QueryMatch>* out,
+                     const ShardChain& chain, const RecordSet& staged,
+                     RecordId q, size_t shard, QueryContext* ctx,
+                     std::vector<QueryMatch>* out,
                      std::unordered_set<RecordId>* matched_chain) {
   const RecordView probe = staged.record(q);
-  if (tier.num_entities == 0 || probe.empty()) return;
-  ctx->parts.clear();
-  for (const ShardChainLink& link : tier.links) {
-    ctx->parts.push_back({&link.part->index, link.id_offset});
-  }
-  auto member_norm = [&](RecordId chain_id) {
-    const ChainPos pos = ResolveChain(tier, chain_id);
-    const ShardChainLink& link = tier.links[pos.link];
-    return link.segment->records
-        ->record(link.part->member_ids[pos.part_local])
-        .norm();
-  };
-  double floor = pred.ThresholdForNorms(probe.norm(), tier.min_norm);
+  if (chain.empty() || probe.empty()) return;
+  chain.CollectParts(&ctx->parts);
+  double floor = pred.ThresholdForNorms(probe.norm(), chain.min_norm());
   auto required_fn = [&](RecordId m) {
-    return pred.ThresholdForNorms(probe.norm(), member_norm(m));
+    return pred.ThresholdForNorms(probe.norm(), MemberNorm(chain, m));
   };
   FunctionRef<double(RecordId)> required = required_fn;
   auto filter_fn = [&](RecordId m) {
-    return pred.NormFilter(probe.norm(), member_norm(m));
+    return pred.NormFilter(probe.norm(), MemberNorm(chain, m));
   };
   FunctionRef<bool(RecordId)> filter;
   if (options.apply_filter && pred.has_norm_filter()) filter = filter_fn;
   probe_internal::ProbeChain(
       ctx->parts, probe, floor, required, filter, options.merge, &ctx->merge,
-      &ctx->scratch,
-      [&](const MergeCandidate& candidate) {
-        const ChainPos pos = ResolveChain(tier, candidate.id);
-        const ShardChainLink& link = tier.links[pos.link];
-        if (IsMaskedDead(link, pos.part_local)) return;
-        const RecordId gid = link.part->global_ids[pos.part_local];
-        if (tombstones != nullptr &&
-            probe_internal::IsTombstoned(*tombstones, gid)) {
-          return;
-        }
+      &ctx->scratch, [&](const MergeCandidate& candidate) {
+        LiveMember member;
+        if (!ResolveLive(chain, candidate.id, &member)) return;
         ++ctx->shard_candidates[shard];
-        const RecordSet& backing = *link.segment->records;
-        const RecordId bid = link.part->member_ids[pos.part_local];
-        if (pred.MatchesCross(backing, bid, staged, q)) {
+        if (member.Matches(pred, staged, q)) {
           if (matched_chain != nullptr) matched_chain->insert(candidate.id);
-          out->push_back({gid, backing.record(bid).OverlapWith(probe)});
+          out->push_back({member.gid, member.record.OverlapWith(probe)});
         }
       });
 }
 
-/// The short-record side pool, per shard tier: a short probe is checked
-/// against every short tier record the index probe did not already
-/// accept (such pairs can match with no shared token, e.g. tiny strings
-/// under the edit-distance q-gram bound). Mirrors StreamingJoin::Add.
-/// Tombstoned pool members are skipped the same way as index candidates
-/// (`tombstones` null when the tier has none to filter).
-void ProbeShardShortPool(const Predicate& pred, const RecordSet& backing,
-                         const std::vector<RecordId>* backing_ids,
-                         const std::vector<RecordId>& global_ids,
-                         const std::vector<RecordId>* tombstones,
-                         const std::vector<RecordId>& short_ids,
-                         const RecordSet& staged, RecordId q, size_t shard,
-                         QueryContext* ctx, std::vector<QueryMatch>* out,
-                         const std::unordered_set<RecordId>& matched_local) {
-  const RecordView probe = staged.record(q);
-  for (RecordId local : short_ids) {
-    if (matched_local.count(local) > 0) continue;
-    if (tombstones != nullptr &&
-        probe_internal::IsTombstoned(*tombstones, global_ids[local])) {
-      continue;
-    }
-    ++ctx->shard_candidates[shard];
-    const RecordId bid = backing_ids != nullptr ? (*backing_ids)[local] : local;
-    if (pred.MatchesCross(backing, bid, staged, q)) {
-      out->push_back(
-          {global_ids[local], backing.record(bid).OverlapWith(probe)});
-    }
-  }
-}
-
-/// The chain's short pool: link by link in chain order, which is global
-/// id order — segments hold disjoint increasing gid ranges — so the
-/// sweep order matches the unsegmented pool's. `matched_chain` holds
-/// chain-wide ids from ProbeShardChain.
-void ProbeChainShortPool(const Predicate& pred, const ShardedBaseTier& tier,
-                         const std::vector<RecordId>* tombstones,
+/// The chain's short-record side pool: a short probe is checked against
+/// every short chain member the index probe did not already accept (such
+/// pairs can match with no shared token, e.g. tiny strings under the
+/// edit-distance q-gram bound). Mirrors StreamingJoin::Add. Link by link
+/// in chain order, head last — global id order, since segments hold
+/// disjoint increasing gid ranges and memtable records are newer still.
+/// `matched_chain` holds chain-wide ids from ProbeShardChain.
+void ProbeChainShortPool(const Predicate& pred, const ShardChain& chain,
                          const RecordSet& staged, RecordId q, size_t shard,
                          QueryContext* ctx, std::vector<QueryMatch>* out,
                          const std::unordered_set<RecordId>& matched_chain) {
   const RecordView probe = staged.record(q);
-  for (const ShardChainLink& link : tier.links) {
-    for (RecordId part_local : link.part->short_ids) {
-      if (matched_chain.count(link.id_offset + part_local) > 0) continue;
-      if (IsMaskedDead(link, part_local)) continue;
-      const RecordId gid = link.part->global_ids[part_local];
-      if (tombstones != nullptr &&
-          probe_internal::IsTombstoned(*tombstones, gid)) {
-        continue;
-      }
-      ++ctx->shard_candidates[shard];
-      const RecordSet& backing = *link.segment->records;
-      const RecordId bid = link.part->member_ids[part_local];
-      if (pred.MatchesCross(backing, bid, staged, q)) {
-        out->push_back({gid, backing.record(bid).OverlapWith(probe)});
-      }
+  auto check = [&](RecordId chain_id) {
+    if (matched_chain.count(chain_id) > 0) return;
+    LiveMember member;
+    if (!ResolveLive(chain, chain_id, &member)) return;
+    ++ctx->shard_candidates[shard];
+    if (member.Matches(pred, staged, q)) {
+      out->push_back({member.gid, member.record.OverlapWith(probe)});
     }
+  };
+  for (const ShardChainLink& link : chain.tier.links) {
+    for (RecordId part_local : link.part->short_ids) {
+      check(link.id_offset + part_local);
+    }
+  }
+  const PostingListView head_shorts =
+      chain.head.memtable->short_ids(chain.head.visible);
+  for (size_t i = 0; i < head_shorts.size(); ++i) {
+    check(chain.head_offset() + head_shorts[i].id);
   }
 }
 
 /// Full thresholded lookup of staged.record(q) against ONE shard of the
-/// snapshot: the shard's chained base tier, then its delta tier, then
-/// id-sorted. Each record lives in exactly one shard, so per-shard
-/// outputs are disjoint and the deterministic cross-shard merge
-/// reconstructs the single-index answer byte for byte.
+/// snapshot: the shard's chain (segments, then memtable head), its short
+/// pool for short probes, then id-sorted. Each record lives in exactly
+/// one shard, so per-shard outputs are disjoint and the deterministic
+/// cross-shard merge reconstructs the single-index answer byte for byte.
 std::vector<QueryMatch> LookupShard(const Predicate& pred,
                                     const ServiceOptions& options,
                                     const IndexSnapshot& snap, size_t shard,
@@ -282,32 +267,12 @@ std::vector<QueryMatch> LookupShard(const Predicate& pred,
   const RecordView probe = staged.record(q);
   double short_bound = pred.ShortRecordNormBound();
   bool probe_is_short = short_bound > 0 && probe.norm() < short_bound;
-  std::unordered_set<RecordId> matched;  // chain/local ids; only when short
-  std::unordered_set<RecordId>* matched_ptr =
-      probe_is_short ? &matched : nullptr;
-
-  // The shard's pending tombstones ride on its delta image; base-tier
-  // candidates are filtered against them here, delta images already
-  // exclude tombstoned records at build time.
-  const ShardedBaseTier& base = *snap.base[shard];
-  const DeltaShard& delta = *snap.delta[shard];
-  const std::vector<RecordId>* tombstones =
-      delta.tombstones.empty() ? nullptr : &delta.tombstones;
-  ProbeShardChain(pred, options, base, tombstones, staged, q, shard, ctx,
-                  &out, matched_ptr);
+  std::unordered_set<RecordId> matched;  // chain ids; only when short
+  const ShardChain chain(snap, shard);
+  ProbeShardChain(pred, options, chain, staged, q, shard, ctx, &out,
+                  probe_is_short ? &matched : nullptr);
   if (probe_is_short) {
-    ProbeChainShortPool(pred, base, tombstones, staged, q, shard, ctx, &out,
-                        matched);
-    matched.clear();
-  }
-  ProbeShardTier(pred, options, delta.index, delta.records,
-                 /*backing_ids=*/nullptr, delta.global_ids,
-                 /*tombstones=*/nullptr, staged, q, shard, ctx, &out,
-                 matched_ptr);
-  if (probe_is_short) {
-    ProbeShardShortPool(pred, delta.records, /*backing_ids=*/nullptr,
-                        delta.global_ids, /*tombstones=*/nullptr,
-                        delta.short_ids, staged, q, shard, ctx, &out, matched);
+    ProbeChainShortPool(pred, chain, staged, q, shard, ctx, &out, matched);
   }
   std::sort(out.begin(), out.end(), IdLess);
   ctx->shard_results[shard] += out.size();
@@ -332,50 +297,27 @@ std::vector<QueryMatch> LookupAllShards(const Predicate& pred,
   return out;
 }
 
-/// Unthresholded overlap sweep of one shard for top-k: floor 0, no
-/// per-candidate bound, no filter — every shard record sharing a token
+/// Unthresholded overlap sweep of one shard's chain for top-k: floor 0,
+/// no per-candidate bound, no filter — every chain record sharing a token
 /// surfaces with its canonical match amount. Masked-dead and tombstoned
-/// base members are dropped before ranking, so top-k backfills to k
-/// SURVIVORS (a deleted record never displaces a live one from the
-/// truncated list).
+/// members are dropped before ranking, so top-k backfills to k SURVIVORS
+/// (a deleted record never displaces a live one from the truncated list).
 void SweepShardOverlaps(const IndexSnapshot& snap, size_t shard,
                         RecordView probe, QueryContext* ctx,
                         std::vector<QueryMatch>* out) {
   ctx->EnsureShards(snap.num_shards());
-  if (probe.empty()) return;
-  const ShardedBaseTier& base = *snap.base[shard];
-  const DeltaShard& delta = *snap.delta[shard];
-  if (base.num_entities > 0) {
-    ctx->parts.clear();
-    for (const ShardChainLink& link : base.links) {
-      ctx->parts.push_back({&link.part->index, link.id_offset});
-    }
-    probe_internal::ProbeChain(
-        ctx->parts, probe, /*floor=*/0, /*required=*/{}, /*filter=*/{},
-        MergeOptions{}, &ctx->merge, &ctx->scratch,
-        [&](const MergeCandidate& candidate) {
-          const ChainPos pos = ResolveChain(base, candidate.id);
-          const ShardChainLink& link = base.links[pos.link];
-          if (IsMaskedDead(link, pos.part_local)) return;
-          const RecordId gid = link.part->global_ids[pos.part_local];
-          if (probe_internal::IsTombstoned(delta.tombstones, gid)) return;
-          ++ctx->shard_candidates[shard];
-          const RecordId bid = link.part->member_ids[pos.part_local];
-          out->push_back(
-              {gid, link.segment->records->record(bid).OverlapWith(probe)});
-        });
-  }
-  if (delta.index.num_entities() > 0) {
-    probe_internal::ProbeOne(
-        delta.index, probe, /*floor=*/0, /*required=*/{}, /*filter=*/{},
-        MergeOptions{}, &ctx->merge, &ctx->scratch,
-        [&](const MergeCandidate& candidate) {
-          ++ctx->shard_candidates[shard];
-          out->push_back(
-              {delta.global_ids[candidate.id],
-               delta.records.record(candidate.id).OverlapWith(probe)});
-        });
-  }
+  const ShardChain chain(snap, shard);
+  if (chain.empty() || probe.empty()) return;
+  chain.CollectParts(&ctx->parts);
+  probe_internal::ProbeChain(
+      ctx->parts, probe, /*floor=*/0, /*required=*/{}, /*filter=*/{},
+      MergeOptions{}, &ctx->merge, &ctx->scratch,
+      [&](const MergeCandidate& candidate) {
+        LiveMember member;
+        if (!ResolveLive(chain, candidate.id, &member)) return;
+        ++ctx->shard_candidates[shard];
+        out->push_back({member.gid, member.record.OverlapWith(probe)});
+      });
 }
 
 uint64_t ElapsedMicros(const Timer& timer) {
@@ -412,9 +354,7 @@ SimilarityService::SimilarityService(RecordSet corpus, const Predicate& pred,
   shard_bounds_ = ComputeShardBounds(RoutingMassHistogram(corpus_), num_shards_);
   next_id_ = corpus_.size();
   deleted_.assign(corpus_.size(), false);
-  memtables_.resize(num_shards_);
-  memtable_ids_.resize(num_shards_);
-  tombstones_.resize(num_shards_);
+  ResetMemtablesLocked();
   {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     stats_.EnsureShards(num_shards_);
@@ -453,11 +393,11 @@ SimilarityService::SimilarityService(ServiceCheckpoint checkpoint,
   for (size_t i = 0; i < deleted_.size(); ++i) {
     if (deleted_[i]) ++deleted_total_;
   }
-  memtables_.resize(num_shards_);
-  memtable_ids_.resize(num_shards_);
-  tombstones_ = std::move(checkpoint.tombstones);
-  for (const std::vector<RecordId>& ts : tombstones_) {
-    tombstone_total_ += ts.size();
+  ResetMemtablesLocked();
+  for (size_t s = 0; s < num_shards_; ++s) {
+    tombstone_total_ += checkpoint.tombstones[s].size();
+    tombstones_[s] = std::make_shared<const std::vector<RecordId>>(
+        std::move(checkpoint.tombstones[s]));
   }
 
   // Rebuild the chain exactly as checkpointed: segments shared straight
@@ -491,30 +431,14 @@ SimilarityService::SimilarityService(ServiceCheckpoint checkpoint,
   }
 
   // Re-publish the checkpointed snapshot at its recorded epoch: chain
-  // views come straight off the restored chain, deltas start empty
+  // views come straight off the restored chain, memtables start empty
   // (checkpoints are written at compaction points) apart from any
   // carried tombstones.
-  const double short_bound = pred_.ShortRecordNormBound();
   std::vector<std::shared_ptr<const ShardedBaseTier>> base(num_shards_);
-  std::vector<std::shared_ptr<const DeltaShard>> delta(num_shards_);
   for (size_t s = 0; s < num_shards_; ++s) {
     base[s] = BuildShardChainView(chain_, s);
-    delta[s] = BuildDeltaShard(RecordSet(), {}, short_bound, tombstones_[s]);
   }
-  auto snap = std::make_shared<IndexSnapshot>();
-  snap->segments.reserve(chain_.size());
-  for (const SegmentChainEntry& entry : chain_) {
-    snap->segments.push_back(entry.segment);
-  }
-  snap->base = std::move(base);
-  snap->delta = std::move(delta);
-  snap->epoch = checkpoint.epoch;
-  snap->live_records = static_cast<size_t>(next_id_) - deleted_total_;
-  snap->pending_tombstones = tombstone_total_;
-  {
-    std::lock_guard<std::mutex> snapshot_lock(snapshot_mutex_);
-    snapshot_ = std::move(snap);
-  }
+  Publish(std::move(base), checkpoint.epoch);
 
   wal_ = std::make_unique<WriteAheadLog>(std::move(wal));
   // last_seq() covers frames a crash left from before the checkpoint
@@ -614,25 +538,12 @@ void SimilarityService::AdoptMappedSegmentsLocked() {
   if (swapped) {
     // Republish in place at the CURRENT epoch: the mapped views answer
     // byte-identically, so the swap must be invisible to readers — no
-    // epoch bump, delta images and counts carried over unchanged.
-    std::shared_ptr<const IndexSnapshot> prev = snapshot();
-    auto snap = std::make_shared<IndexSnapshot>();
-    snap->segments.reserve(chain_.size());
-    for (const SegmentChainEntry& entry : chain_) {
-      snap->segments.push_back(entry.segment);
-    }
-    snap->base.resize(num_shards_);
+    // epoch bump, memtable heads and counts unchanged.
+    std::vector<std::shared_ptr<const ShardedBaseTier>> base(num_shards_);
     for (size_t s = 0; s < num_shards_; ++s) {
-      snap->base[s] = BuildShardChainView(chain_, s);
+      base[s] = BuildShardChainView(chain_, s);
     }
-    snap->delta = prev->delta;
-    snap->epoch = prev->epoch;
-    snap->live_records = prev->live_records;
-    snap->pending_tombstones = prev->pending_tombstones;
-    {
-      std::lock_guard<std::mutex> snapshot_lock(snapshot_mutex_);
-      snapshot_ = std::move(snap);
-    }
+    Publish(std::move(base), snapshot()->epoch);
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     uint64_t bytes = 0;
     for (const SegmentChainEntry& e : chain_) bytes += e.segment->approx_bytes;
@@ -697,7 +608,7 @@ Status SimilarityService::SaveCheckpointLocked() {
   }
   state.tombstones.reserve(num_shards_);
   for (size_t s = 0; s < num_shards_; ++s) {
-    state.tombstones.push_back(&tombstones_[s]);
+    state.tombstones.push_back(tombstones_[s].get());
   }
   GcStats gc;
   Status status = ssjoin::SaveCheckpoint(options_.data_dir, state,
@@ -832,7 +743,7 @@ bool SimilarityService::CompactLocked(bool count_compaction) {
   } else {
     // The O(delta) incremental path: old segments are never rewritten.
     for (size_t s = 0; s < num_shards_; ++s) {
-      if (!memtable_ids_[s].empty() || !tombstones_[s].empty()) {
+      if (memtables_[s]->size() > 0 || !tombstones_[s]->empty()) {
         dirty[s] = true;
       }
     }
@@ -844,7 +755,7 @@ bool SimilarityService::CompactLocked(bool count_compaction) {
     std::vector<std::vector<std::vector<RecordId>>> fold(
         chain_.size(), std::vector<std::vector<RecordId>>(num_shards_));
     for (size_t s = 0; s < num_shards_; ++s) {
-      for (RecordId gid : tombstones_[s]) {
+      for (RecordId gid : *tombstones_[s]) {
         size_t ci = chain_.size();
         for (size_t i = 0; i < chain_.size(); ++i) {
           const std::vector<RecordId>& sgids = chain_[i].segment->global_ids;
@@ -894,15 +805,15 @@ bool SimilarityService::CompactLocked(bool count_compaction) {
     struct Pending {
       RecordId id;
       size_t shard;
-      size_t local;
+      RecordId local;
     };
     std::vector<Pending> pending;
     pending.reserve(memtable_total_);
     for (size_t s = 0; s < num_shards_; ++s) {
-      for (size_t j = 0; j < memtable_ids_[s].size(); ++j) {
-        if (!deleted_[memtable_ids_[s][j]]) {
-          pending.push_back({memtable_ids_[s][j], s, j});
-        }
+      const MemtableShard& memtable = *memtables_[s];
+      for (RecordId local = 0; local < memtable.size(); ++local) {
+        const RecordId id = memtable.global_id(local);
+        if (!deleted_[id]) pending.push_back({id, s, local});
       }
     }
     std::sort(pending.begin(), pending.end(),
@@ -912,8 +823,9 @@ bool SimilarityService::CompactLocked(bool count_compaction) {
       std::vector<RecordId> gids;
       gids.reserve(pending.size());
       for (const Pending& p : pending) {
-        folded.Add(memtables_[p.shard].record(static_cast<RecordId>(p.local)),
-                   memtables_[p.shard].text(static_cast<RecordId>(p.local)));
+        const MemtableShard& memtable = *memtables_[p.shard];
+        folded.Add(memtable.record(p.local),
+                   std::string(memtable.text(p.local)));
         gids.push_back(p.id);
       }
       SegmentChainEntry entry;
@@ -983,21 +895,16 @@ bool SimilarityService::CompactLocked(bool count_compaction) {
   }
 
   // Rebuild every shard's chain view (cheap — one link per segment) and
-  // fresh empty deltas, then publish the lot as one snapshot. Merges
-  // above do NOT publish intermediates, so a compaction bumps the epoch
-  // exactly once regardless of how far the cascade ran.
+  // start fresh memtable generations (the frozen ones are freed when the
+  // last snapshot holding them drops), then publish the lot as one
+  // snapshot. Merges above do NOT publish intermediates, so a compaction
+  // bumps the epoch exactly once regardless of how far the cascade ran.
   std::vector<std::shared_ptr<const ShardedBaseTier>> base(num_shards_);
-  std::vector<std::shared_ptr<const DeltaShard>> delta(num_shards_);
   for (size_t s = 0; s < num_shards_; ++s) {
     base[s] = BuildShardChainView(chain_, s);
-    memtables_[s] = RecordSet();
-    memtable_ids_[s].clear();
-    tombstones_[s].clear();
-    delta[s] = BuildDeltaShard(RecordSet(), {}, short_bound);
   }
-  memtable_total_ = 0;
-  tombstone_total_ = 0;
-  Publish(std::move(base), std::move(delta));
+  ResetMemtablesLocked();
+  Publish(std::move(base), prev == nullptr ? 0 : prev->epoch + 1);
   {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     if (count_compaction) ++stats_.compactions;
@@ -1021,20 +928,41 @@ bool SimilarityService::CompactLocked(bool count_compaction) {
   return true;
 }
 
+void SimilarityService::ResetMemtablesLocked() {
+  static const auto kNoTombstones =
+      std::make_shared<const std::vector<RecordId>>();
+  memtables_.resize(num_shards_);
+  tombstones_.assign(num_shards_, kNoTombstones);
+  for (std::shared_ptr<MemtableShard>& memtable : memtables_) {
+    if (memtable == nullptr || memtable->size() > 0) {
+      memtable = std::make_shared<MemtableShard>();
+    }
+  }
+  memtable_total_ = 0;
+  tombstone_total_ = 0;
+}
+
 void SimilarityService::Publish(
     std::vector<std::shared_ptr<const ShardedBaseTier>> base,
-    std::vector<std::shared_ptr<const DeltaShard>> delta) {
+    uint64_t epoch) {
   auto snap = std::make_shared<IndexSnapshot>();
   snap->segments.reserve(chain_.size());
   for (const SegmentChainEntry& entry : chain_) {
     snap->segments.push_back(entry.segment);
   }
   snap->base = std::move(base);
-  snap->delta = std::move(delta);
+  snap->heads.resize(num_shards_);
+  for (size_t s = 0; s < num_shards_; ++s) {
+    MemtableHead& head = snap->heads[s];
+    head.memtable = memtables_[s];
+    head.visible = memtables_[s]->size();
+    head.min_norm = memtables_[s]->min_norm();
+    if (!tombstones_[s]->empty()) head.tombstones = tombstones_[s];
+  }
+  snap->epoch = epoch;
   snap->live_records = static_cast<size_t>(next_id_) - deleted_total_;
   snap->pending_tombstones = tombstone_total_;
   std::lock_guard<std::mutex> lock(snapshot_mutex_);
-  snap->epoch = snapshot_ == nullptr ? 0 : snapshot_->epoch + 1;
   snapshot_ = std::move(snap);
 }
 
@@ -1079,27 +1007,22 @@ RecordId SimilarityService::InsertLocked(RecordView record, std::string text) {
   }
   std::shared_ptr<const IndexSnapshot> snap = snapshot();
 
-  // Score the newcomer against the published base statistics, then grow
-  // ONLY the routed shard's memtable and republish that one delta image.
-  // The segment chain and the other shards' deltas are shared, not
-  // copied.
+  // Score the newcomer against the published base statistics, append it
+  // to the routed shard's memtable head and publish the longer prefix.
+  // Nothing already published is copied or rebuilt: O(the record).
   RecordSet staging;
   staging.Add(record, text);
   pred_.PrepareIncremental(snap->stats_reference(), &staging);
   const RecordId id = static_cast<RecordId>(next_id_++);
   if (keep_raw_) corpus_.Add(record, std::move(text));
   deleted_.push_back(false);
-  const size_t shard = RouteToShard(staging.record(0), shard_bounds_);
-  memtables_[shard].Add(staging.record(0), staging.text(0));
-  memtable_ids_[shard].push_back(id);
+  const RecordView prepared = staging.record(0);
+  const size_t shard = RouteToShard(prepared, shard_bounds_);
+  const double short_bound = pred_.ShortRecordNormBound();
+  memtables_[shard]->Append(prepared, staging.text_view(0), id,
+                            short_bound > 0 && prepared.norm() < short_bound);
   ++memtable_total_;
-  std::vector<std::shared_ptr<const DeltaShard>> delta = snap->delta;
-  // The shard's pending tombstones ride on its delta image — republish
-  // them with the grown memtable so earlier deletes stay visible.
-  delta[shard] = BuildDeltaShard(memtables_[shard], memtable_ids_[shard],
-                                 pred_.ShortRecordNormBound(),
-                                 tombstones_[shard]);
-  Publish(snap->base, std::move(delta));
+  Publish(snap->base, snap->epoch + 1);
   {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     ++stats_.inserts;
@@ -1136,17 +1059,14 @@ bool SimilarityService::DeleteLocked(RecordId id) {
   deleted_[id] = true;
   ++deleted_total_;
   const size_t shard = RouteOfRecordLocked(id);
-  std::vector<RecordId>& ts = tombstones_[shard];
-  ts.insert(std::upper_bound(ts.begin(), ts.end(), id), id);
+  // Copy-on-write of the shard's pending tombstones: published snapshots
+  // keep the list they were given, and probes filter against it.
+  auto ts = std::make_shared<std::vector<RecordId>>(*tombstones_[shard]);
+  ts->insert(std::upper_bound(ts->begin(), ts->end(), id), id);
+  tombstones_[shard] = std::move(ts);
   ++tombstone_total_;
   std::shared_ptr<const IndexSnapshot> snap = snapshot();
-  // Republish only the owning shard's delta image with the grown
-  // tombstone list; the segment chain and other deltas are shared
-  // untouched.
-  std::vector<std::shared_ptr<const DeltaShard>> delta = snap->delta;
-  delta[shard] = BuildDeltaShard(memtables_[shard], memtable_ids_[shard],
-                                 pred_.ShortRecordNormBound(), ts);
-  Publish(snap->base, std::move(delta));
+  Publish(snap->base, snap->epoch + 1);
   {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     ++stats_.deletes;
@@ -1167,8 +1087,7 @@ size_t SimilarityService::RouteOfRecordLocked(RecordId id) const {
   // path, same as Insert.
   if (keep_raw_) return RouteToShard(corpus_.record(id), shard_bounds_);
   for (size_t s = 0; s < num_shards_; ++s) {
-    const std::vector<RecordId>& ids = memtable_ids_[s];
-    if (std::binary_search(ids.begin(), ids.end(), id)) return s;
+    if (memtables_[s]->FindGlobal(id) < memtables_[s]->size()) return s;
   }
   for (const SegmentChainEntry& entry : chain_) {
     const std::vector<RecordId>& gids = entry.segment->global_ids;
@@ -1354,7 +1273,7 @@ std::string SimilarityService::StatsJson() const {
                 static_cast<unsigned long long>(snap->num_shards()),
                 static_cast<unsigned long long>(snap->size()),
                 static_cast<unsigned long long>(snap->base_size()),
-                static_cast<unsigned long long>(snap->delta_size()),
+                static_cast<unsigned long long>(snap->memtable_size()),
                 static_cast<unsigned long long>(snap->pending_tombstones),
                 durability.ok() ? "true" : "false");
   return std::string(header) + JsonString(durability.message()) +

@@ -37,8 +37,9 @@ struct ServiceOptions {
   MergeOptions merge;
   /// Auto-compact when the total memtable (across shards) reaches this
   /// many records; 0 means compaction only happens through explicit
-  /// Compact() calls. Each insert republishes only the routed shard's
-  /// memtable image, so per-insert work is bounded by that shard's share.
+  /// Compact() calls. An insert appends to the routed shard's memtable
+  /// head and publishes its longer prefix, so per-insert work is
+  /// O(the record) whatever the memtable holds.
   size_t memtable_limit = 256;
   /// Worker threads for BatchQuery fan-out, sharded point-query fan-out
   /// and parallel shard rebuilds; <= 0 uses the hardware default.
@@ -99,8 +100,10 @@ struct ServiceOptions {
 /// republishes with every prior segment structurally shared — O(delta),
 /// not O(corpus) — while tombstones fold into per-segment dead masks and
 /// a size-tiered trigger (ServiceOptions::segment_merge_ratio) merges
-/// small segments so chains stay short. Each shard has its own memtable
-/// image and tombstone set, so Insert/Delete touch one shard.
+/// small segments so chains stay short. Each shard has its own append-
+/// only memtable — the head link of its chain, probed with the segments
+/// as one id space — and tombstone set, so Insert/Delete touch one shard
+/// and cost O(the record).
 /// Corpus-statistics predicates force a full rebuild into a single fresh
 /// segment — their scores change globally, and the re-Prepare runs over
 /// survivors only.
@@ -110,8 +113,11 @@ struct ServiceOptions {
 ///   * readers copy an immutable IndexSnapshot shared_ptr under a brief
 ///     mutex hold and then touch no shared mutable state — queries never
 ///     block inserts or compaction, and vice versa;
-///   * writers (Insert/Compact) serialize on a write mutex, build fresh
-///     immutable tiers off to the side and publish them atomically by
+///   * writers (Insert/Delete/Compact) serialize on a write mutex. Insert
+///     appends to a memtable head that published snapshots share — bytes
+///     they can see never move — and publishes a snapshot with the
+///     longer visible length; Delete and Compact build their changed
+///     pieces off to the side. Either way the new state goes live by
 ///     swapping the snapshot pointer;
 ///   * the worker pool is shared (and not reentrant), so batch fan-out,
 ///     sharded point-query fan-out and parallel shard rebuilds serialize
@@ -174,7 +180,7 @@ class SimilarityService {
 
   /// Retracts record `id`: an LSM-style tombstone is recorded in the
   /// owning token-range shard (same largest-token routing as Insert) and
-  /// published with that shard's delta image, so the record is hidden
+  /// published with that shard's memtable head, so the record is hidden
   /// from Query/BatchQuery/QueryTopK answers issued after return —
   /// whether it lives in the base tier or is still memtable-resident.
   /// The record's bytes are dropped physically at the next compaction of
@@ -199,7 +205,7 @@ class SimilarityService {
   size_t size() const { return snapshot()->size(); }
   /// Records awaiting compaction in the current snapshot (all shards),
   /// including memtable records already tombstoned.
-  size_t memtable_size() const { return snapshot()->delta_size(); }
+  size_t memtable_size() const { return snapshot()->memtable_size(); }
   /// Tombstones awaiting physical drop in the current snapshot.
   size_t tombstone_count() const { return snapshot()->pending_tombstones; }
   /// Publication count: bumps on every insert, delete and (non-no-op)
@@ -279,11 +285,15 @@ class SimilarityService {
   /// clears a latched durability error, failure latches one.
   void MaybeCheckpointLocked();
   void SetDurabilityErrorLocked(Status status);
-  /// Swaps in a new snapshot built from the current chain_ plus the given
-  /// tier views. Must be called with write_mutex_ held: the published
-  /// segment list and live/tombstone counts are read from writer state.
+  /// Starts a fresh (empty) memtable generation in every shard that holds
+  /// records and clears the pending tombstones and their counts.
+  void ResetMemtablesLocked();
+  /// Swaps in a new snapshot at `epoch` built from the current chain_,
+  /// the given chain views and one memtable head per shard (each
+  /// memtable's current length and tombstone list). Must be called with
+  /// write_mutex_ held: everything but `base` is read from writer state.
   void Publish(std::vector<std::shared_ptr<const ShardedBaseTier>> base,
-               std::vector<std::shared_ptr<const DeltaShard>> delta);
+               uint64_t epoch);
   /// Token-range shard of live record `id`: from the raw corpus when the
   /// predicate keeps one, otherwise from the record's prepared image in
   /// the memtable or segment chain (preparation never changes token sets,
@@ -320,10 +330,12 @@ class SimilarityService {
   uint64_t next_segment_id_ = 0;
   SegmentChain chain_;  // oldest first; never empty after construction
   std::set<uint64_t> persisted_segments_;  // segment files on disk
-  std::vector<RecordSet> memtables_;
-  std::vector<std::vector<RecordId>> memtable_ids_;
+  // Per shard: the append-only memtable head (published snapshots share
+  // it and read a prefix) and the pending tombstones, sorted global ids,
+  // replaced copy-on-write by each Delete and never null.
+  std::vector<std::shared_ptr<MemtableShard>> memtables_;
   size_t memtable_total_ = 0;
-  std::vector<std::vector<RecordId>> tombstones_;  // sorted global ids
+  std::vector<std::shared_ptr<const std::vector<RecordId>>> tombstones_;
   size_t tombstone_total_ = 0;
 
   // Durability state, guarded by write_mutex_ (except durability_status_,

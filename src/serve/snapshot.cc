@@ -61,6 +61,9 @@ std::shared_ptr<const CorpusSegment> BuildCorpusSegment(
   segment->id = id;
   auto owned = std::make_shared<RecordSet>(std::move(records));
   const RecordSet& arena = *owned;
+  // Count the frequency table now, while the set is private: a cosine
+  // service's queries read it from many threads (stats_reference()).
+  arena.doc_frequencies();
   segment->records = owned;
   segment->global_ids = std::move(global_ids);
   segment->shards.resize(num_shards);
@@ -124,38 +127,6 @@ std::shared_ptr<const ShardedBaseTier> BuildShardChainView(
     tier->min_norm = std::min(tier->min_norm, part.index.min_norm());
   }
   return tier;
-}
-
-std::shared_ptr<const DeltaShard> BuildDeltaShard(
-    RecordSet records, std::vector<RecordId> global_ids,
-    double short_norm_bound, std::vector<RecordId> tombstones) {
-  auto shard = std::make_shared<DeltaShard>();
-  shard->records = std::move(records);
-  shard->global_ids = std::move(global_ids);
-  shard->tombstones = std::move(tombstones);
-  auto is_tombstoned = [&shard](RecordId local) {
-    return std::binary_search(shard->tombstones.begin(),
-                              shard->tombstones.end(),
-                              shard->global_ids[local]);
-  };
-  // Tombstoned memtable records are dropped from the index outright (ids
-  // may gap — DynamicIndex only requires them increasing), so delta
-  // probes never surface them; only base members need probe-time
-  // filtering against the tombstone list.
-  for (RecordId id = 0; id < shard->records.size(); ++id) {
-    if (shard->tombstones.empty() || !is_tombstoned(id)) {
-      shard->index.Insert(id, shard->records.record(id));
-    }
-  }
-  if (short_norm_bound > 0) {
-    for (RecordId id = 0; id < shard->records.size(); ++id) {
-      if (shard->records.record(id).norm() < short_norm_bound &&
-          (shard->tombstones.empty() || !is_tombstoned(id))) {
-        shard->short_ids.push_back(id);
-      }
-    }
-  }
-  return shard;
 }
 
 }  // namespace ssjoin

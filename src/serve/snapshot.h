@@ -2,14 +2,14 @@
 #define SSJOIN_SERVE_SNAPSHOT_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "data/record_set.h"
 #include "data/record_view.h"
-#include "data/segmented_corpus.h"
-#include "index/dynamic_index.h"
 #include "index/inverted_index.h"
+#include "serve/memtable.h"
 #include "util/mmap_file.h"
 
 namespace ssjoin {
@@ -78,6 +78,8 @@ struct CorpusSegment {
 /// to probe, the offset that places its part-local ids into the shard's
 /// chain-wide id space, and the copy-on-write mask of members deleted
 /// since the segment was built (sorted part-local ids; null when none).
+/// The segment links are the chain's immutable body; the shard's
+/// MemtableHead is its last link, at offset ShardedBaseTier::num_entities.
 struct ShardChainLink {
   std::shared_ptr<const CorpusSegment> segment;
   const SegmentShardPart* part = nullptr;  // &segment->shards[shard]
@@ -85,57 +87,63 @@ struct ShardChainLink {
   std::shared_ptr<const std::vector<RecordId>> dead;  // may be null
 };
 
-/// One token-range shard of the compacted tier: the ordered chain of
-/// per-segment parts this shard probes as one id space (ProbeChain).
-/// Immutable after construction and shared across snapshots until a
-/// compaction finds the shard's memtable or tombstone set dirty, appends
-/// a segment, or merges the chain.
+/// One token-range shard's segment links: the ordered chain of
+/// per-segment parts this shard probes as one id space (ProbeChain),
+/// followed at probe time by the shard's MemtableHead. Immutable after
+/// construction and shared across snapshots until a compaction folds a
+/// dirty memtable or tombstone set, appends a segment, or merges the
+/// chain.
 struct ShardedBaseTier {
   std::vector<ShardChainLink> links;  // oldest segment first
   /// Total part members across the chain (masked-dead ones included —
-  /// they still hold postings until a merge drops them physically).
+  /// they still hold postings until a merge drops them physically). The
+  /// memtable head's ids start here.
   size_t num_entities = 0;
   /// Minimum record norm over every link's index (+inf when empty); the
-  /// probe floor bound T(r, I) of the whole chain. Masked-dead members
-  /// may hold the minimum — a lower floor is always a valid bound.
+  /// probe floor bound T(r, I) of the chain. Masked-dead members may hold
+  /// the minimum — a lower floor is always a valid bound.
   double min_norm = 0;
 };
 
-/// One shard's memtable image: records inserted since the last compaction
-/// whose routing token landed in this shard, scored against the base
-/// corpus statistics (PrepareIncremental) and indexed in a DynamicIndex
-/// under local ids. Rebuilt copy-on-write on every insert routed here —
-/// other shards' images are shared untouched, so per-insert work is
-/// O(this shard's memtable), not O(total memtable).
-struct DeltaShard {
-  RecordSet records;                 // prepared, with texts
-  std::vector<RecordId> global_ids;  // local -> global corpus id, increasing
-  DynamicIndex index;                // local ids; tombstoned locals skipped
-  std::vector<RecordId> short_ids;   // local ids; tombstoned locals skipped
+/// One shard's memtable as one snapshot sees it: the chain's head link.
+/// The append-only MemtableShard is shared by every snapshot of its
+/// generation; what a snapshot adds is the published prefix — the
+/// visible record count and that prefix's minimum norm — plus the
+/// shard's pending tombstones. Readers bound every posting list by
+/// `visible`, so an Insert publishes by bumping one count, and they
+/// filter tombstoned records (base members and memtable residents alike)
+/// at probe time, so a Delete publishes by swapping one list.
+struct MemtableHead {
+  std::shared_ptr<const MemtableShard> memtable;  // never null
+  RecordId visible = 0;
+  double min_norm = std::numeric_limits<double>::infinity();
   /// Global ids tombstoned in this shard since its last compaction,
-  /// sorted increasing. Covers both base members (filtered at probe time
-  /// against this list) and memtable residents (never indexed above).
-  /// Published with the delta image so a Delete is visible to every query
-  /// issued after it returns; Compact() folds the ids into the owning
-  /// segments' dead masks and empties the list.
-  std::vector<RecordId> tombstones;
+  /// sorted increasing; null when none. Compact() folds the chain-
+  /// resident ones into the owning segments' dead masks and drops the
+  /// memtable-resident ones with their records.
+  std::shared_ptr<const std::vector<RecordId>> tombstones;
+
+  /// The ProbePart source interface: token `t`'s visible postings.
+  PostingListView list(TokenId t) const { return memtable->list(t, visible); }
 };
 
 /// One epoch's immutable view of the service corpus: the shared segment
-/// chain, one per-shard chain view and one delta shard per token range,
+/// chain, one per-shard chain view and one memtable head per token range,
 /// and the epoch number. Readers copy the owning shared_ptr under the
 /// service's snapshot mutex and then run entirely lock-free; writers
-/// publish a NEW snapshot instead of ever mutating one, so a query keeps
-/// a consistent view for as long as it holds the pointer, across any
-/// number of concurrent inserts and compactions.
+/// publish a NEW snapshot instead of ever mutating one — the memtables
+/// they append to are shared, but only past every published visible
+/// count — so a query keeps a consistent view for as long as it holds
+/// the pointer, across any number of concurrent inserts and
+/// compactions.
 struct IndexSnapshot {
   /// The segment chain, oldest first; never empty (construction folds
   /// the initial corpus into segment 0, possibly zero-record).
   std::vector<std::shared_ptr<const CorpusSegment>> segments;
   std::vector<std::shared_ptr<const ShardedBaseTier>> base;  // per shard
-  std::vector<std::shared_ptr<const DeltaShard>> delta;      // per shard
+  std::vector<MemtableHead> heads;                           // per shard
   uint64_t epoch = 0;
-  /// Surviving (non-deleted) records visible to queries, base + delta.
+  /// Surviving (non-deleted) records visible to queries, base + memtable.
   size_t live_records = 0;
   /// Tombstones awaiting their fold into segment dead masks.
   size_t pending_tombstones = 0;
@@ -150,15 +158,6 @@ struct IndexSnapshot {
     return *segments.front()->records;
   }
 
-  /// Non-copying concatenated view of the chain's record arenas.
-  SegmentedCorpus base_corpus() const {
-    SegmentedCorpus view;
-    for (const std::shared_ptr<const CorpusSegment>& s : segments) {
-      view.Append(s->records);
-    }
-    return view;
-  }
-
   /// Backing-arena records across the chain; >= live base records
   /// (masked-dead members linger in their segment until a merge).
   size_t base_size() const {
@@ -168,24 +167,14 @@ struct IndexSnapshot {
     }
     return n;
   }
-  /// Approximate bytes held by the segment chain.
-  uint64_t segment_bytes() const {
-    uint64_t n = 0;
-    for (const std::shared_ptr<const CorpusSegment>& s : segments) {
-      n += s->approx_bytes;
-    }
-    return n;
-  }
   /// Memtable records awaiting compaction (tombstoned ones included —
   /// they still occupy memtable slots until folded away).
-  size_t delta_size() const {
+  size_t memtable_size() const {
     size_t n = 0;
-    for (const std::shared_ptr<const DeltaShard>& d : delta) {
-      n += d->records.size();
-    }
+    for (const MemtableHead& head : heads) n += head.visible;
     return n;
   }
-  /// Records a query can answer with: live base + live delta records.
+  /// Records a query can answer with: live base + live memtable records.
   size_t size() const { return live_records; }
 };
 
@@ -246,16 +235,6 @@ std::shared_ptr<const CorpusSegment> BuildCorpusSegment(
 /// aligned), with chain-local id offsets assigned in chain order.
 std::shared_ptr<const ShardedBaseTier> BuildShardChainView(
     const SegmentChain& chain, size_t shard);
-
-/// Builds one shard's delta image over already-prepared memtable records.
-/// `short_norm_bound` is the predicate's ShortRecordNormBound (0 for
-/// predicates without a short-record fallback). `tombstones` (sorted
-/// global ids) is copied into the image; memtable records whose global id
-/// is tombstoned are physically excluded from the index and short pool —
-/// only their record slots remain until compaction.
-std::shared_ptr<const DeltaShard> BuildDeltaShard(
-    RecordSet records, std::vector<RecordId> global_ids,
-    double short_norm_bound, std::vector<RecordId> tombstones = {});
 
 }  // namespace ssjoin
 

@@ -18,12 +18,21 @@ class RecordSet;
 /// frequency of w over the corpus, and N is the number of records.
 class TfIdfWeighter {
  public:
-  /// Builds the corpus-frequency table. `token_frequency[t]` must hold the
-  /// total occurrences of token t across all records.
+  /// Takes ownership of a corpus-frequency table. `token_frequency[t]`
+  /// must hold the total occurrences of token t across all records.
   TfIdfWeighter(std::vector<uint64_t> token_frequency, uint64_t num_records);
 
-  /// Convenience: gathers frequencies from a materialized RecordSet.
+  /// Borrows `records`' frequency table instead of copying it, so
+  /// weighting a one-record staging set against a large reference costs
+  /// O(that record), not O(dictionary). `records` must outlive the
+  /// weighter and must not grow while it is in use.
   static TfIdfWeighter FromRecordSet(const RecordSet& records);
+
+  // Move-only: a borrowed or owned table is addressed through frequency_.
+  TfIdfWeighter(TfIdfWeighter&&) = default;
+  TfIdfWeighter& operator=(TfIdfWeighter&&) = default;
+  TfIdfWeighter(const TfIdfWeighter&) = delete;
+  TfIdfWeighter& operator=(const TfIdfWeighter&) = delete;
 
   /// Raw TF-IDF score of token `t` appearing `tf` times in a record.
   double Weight(TokenId t, uint32_t tf) const;
@@ -31,8 +40,15 @@ class TfIdfWeighter {
   uint64_t num_records() const { return num_records_; }
 
  private:
-  std::vector<uint64_t> token_frequency_;
-  uint64_t num_records_;
+  TfIdfWeighter(const uint64_t* frequency, size_t size, uint64_t num_records)
+      : frequency_(frequency), size_(size), num_records_(num_records) {}
+
+  std::vector<uint64_t> owned_;  // empty when borrowed
+  // The table in use: owned_.data() (a moved vector keeps its buffer) or
+  // the borrowed RecordSet table.
+  const uint64_t* frequency_ = nullptr;
+  size_t size_ = 0;
+  uint64_t num_records_ = 0;
 };
 
 }  // namespace ssjoin

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "data/record.h"
 #include "data/record_set.h"
 
@@ -125,6 +130,67 @@ TEST(RecordSetTest, IdsByDecreasingNormStableOnTies) {
   }
   std::vector<RecordId> order = set.IdsByDecreasingNorm();
   EXPECT_EQ(order, (std::vector<RecordId>{0, 1, 2, 3}));
+}
+
+TEST(RecordSetTest, OneRecordSetCostsItsTokensNotTheDictionary) {
+  // A one-record set is what every served query and insert stages; its
+  // footprint must not grow with the largest token id it carries.
+  RecordSet small_id;
+  small_id.Add(Record::FromTokens({1, 7}), "ab");
+  RecordSet large_id;
+  large_id.Add(Record::FromTokens({1, 1000000}), "ab");
+  EXPECT_EQ(large_id.ApproxMemoryBytes(), small_id.ApproxMemoryBytes());
+  EXPECT_EQ(large_id.vocabulary_size(), 1000001u);
+  EXPECT_EQ(large_id.doc_frequency(1000000), 1u);
+}
+
+TEST(RecordSetTest, FrequencyTablesMatchEagerReferenceAcrossAdds) {
+  RecordSet set;
+  std::vector<uint64_t> df;
+  uint64_t seed = 12345;
+  auto next = [&seed](uint64_t bound) {
+    seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (seed >> 33) % bound;
+  };
+  auto add_random = [&](TokenId vocabulary) {
+    std::map<TokenId, double> distinct;
+    const size_t size = 1 + next(6);
+    for (size_t i = 0; i < size; ++i) {
+      distinct[static_cast<TokenId>(next(vocabulary))] =
+          0.5 + static_cast<double>(next(8));
+    }
+    Record r = Record::FromWeightedTokens({distinct.begin(), distinct.end()});
+    for (size_t i = 0; i < r.size(); ++i) {
+      if (r.token(i) >= df.size()) df.resize(r.token(i) + 1, 0);
+      ++df[r.token(i)];
+    }
+    set.Add(std::move(r));
+  };
+  auto expect_reference = [&](const char* context) {
+    EXPECT_EQ(set.vocabulary_size(), df.size()) << context;
+    EXPECT_EQ(set.doc_frequencies(), df) << context;
+    EXPECT_EQ(set.term_frequencies(), df) << context;
+    std::vector<double> max_scores(df.size(), 0.0);
+    for (RecordId id = 0; id < set.size(); ++id) {
+      const RecordView r = set.record(id);
+      for (size_t i = 0; i < r.size(); ++i) {
+        max_scores[r.token(i)] = std::max(max_scores[r.token(i)], r.score(i));
+      }
+    }
+    std::vector<TokenId> by_frequency(df.size());
+    for (TokenId t = 0; t < by_frequency.size(); ++t) by_frequency[t] = t;
+    std::stable_sort(by_frequency.begin(), by_frequency.end(),
+                     [&df](TokenId a, TokenId b) { return df[a] > df[b]; });
+    const TokenStats& stats = set.token_stats();
+    EXPECT_EQ(stats.max_token_scores, max_scores) << context;
+    EXPECT_EQ(stats.tokens_by_frequency, by_frequency) << context;
+  };
+  for (int i = 0; i < 40; ++i) add_random(30);
+  expect_reference("initial");
+  for (int i = 0; i < 25; ++i) add_random(60);  // grows the vocabulary
+  expect_reference("after further adds");
+  set.Add(Record::FromTokens({}));
+  expect_reference("after an empty record");
 }
 
 TEST(RecordSetTest, EmptySet) {

@@ -1289,6 +1289,64 @@ TEST(SegmentFileTest, GarbledExtentTableIsRejectedMappedAndMaterialized) {
   EXPECT_TRUE(SimilarityService::Open(pred, options).ok());
 }
 
+/// Byte offset of shard 0's first posting slot: past the extent size and
+/// max-score tables that follow the extent begins.
+uint64_t ShardZeroFirstPostingOffset(const std::string& bytes) {
+  uint64_t vocab = 0;
+  std::memcpy(&vocab, bytes.data() + 32, sizeof(vocab));
+  auto align = [](uint64_t pos) { return (pos + 63) & ~uint64_t{63}; };
+  const uint64_t sizes = ShardZeroSizeEntryOffset(bytes, 0);
+  const uint64_t max_scores = align(sizes + vocab * sizeof(uint32_t));
+  return align(max_scores + vocab * sizeof(double));
+}
+
+TEST(SegmentFileTest, GarbledPostingIdIsRejectedMappedAndMaterialized) {
+  // Posting ids sit outside the header CRC and a mapped open skips the
+  // whole-file CRC. A probe resolves each candidate id through its
+  // part's member table, so an id past the member count must be caught
+  // at open, or the first query that surfaces it reads past the table.
+  // Resealed, so the materialized open must catch it structurally too.
+  OverlapPredicate pred(1);
+  RecordSet corpus = testing_util::MakeRandomRecordSet(
+      {.num_records = 20, .vocabulary = 15}, 108);
+  ServiceOptions options;
+  options.data_dir = FreshDataDir("seg_garbled_posting");
+  options.wal_sync = WalSyncPolicy::kNever;
+  { SimilarityService service(corpus, pred, options); }
+  const std::set<uint64_t> files = ListSegmentFiles(options.data_dir);
+  ASSERT_FALSE(files.empty());
+  const std::string path = SegmentFilePath(options.data_dir, *files.begin());
+  const std::string bytes = ReadAll(path);
+
+  std::string garbled = bytes;
+  const uint32_t bad_id = 0x7FFFFFF0;
+  const uint64_t at = ShardZeroFirstPostingOffset(garbled);
+  ASSERT_LT(at + sizeof(bad_id), garbled.size());
+  uint32_t old_id = 0;
+  std::memcpy(&old_id, garbled.data() + at, sizeof(old_id));
+  ASSERT_LT(old_id, corpus.size());  // the slot holds a real posting
+  std::memcpy(garbled.data() + at, &bad_id, sizeof(bad_id));
+  WriteAll(path, ResealSegment(std::move(garbled)));
+  for (const bool mapped : {false, true}) {
+    std::unique_ptr<ScopedMaterialized> pin_materialized;
+    std::unique_ptr<ScopedMapped> pin_mapped;
+    if (mapped) {
+      pin_mapped = std::make_unique<ScopedMapped>(1);
+    } else {
+      pin_materialized = std::make_unique<ScopedMaterialized>();
+    }
+    Result<std::unique_ptr<SimilarityService>> restored =
+        SimilarityService::Open(pred, options);
+    ASSERT_FALSE(restored.ok()) << "mapped=" << mapped;
+    EXPECT_NE(restored.status().message().find("corrupt checkpoint"),
+              std::string::npos)
+        << "mapped=" << mapped << ": " << restored.status().ToString();
+  }
+
+  WriteAll(path, bytes);
+  EXPECT_TRUE(SimilarityService::Open(pred, options).ok());
+}
+
 TEST(CrashRecoveryTest, PredicateMismatchIsRejected) {
   JaccardPredicate jaccard(0.5);
   RecordSet corpus = testing_util::MakeRandomRecordSet(

@@ -7,6 +7,8 @@
 # recovery — including the segmented-corpus suite: multi-segment chain
 # restore, orphan segment GC and corrupt segment files), whose
 # byte-level decoders parse attacker-shaped torn and corrupted files,
+# the memtable head's arena blocks (placement-built posting, record and
+# directory blocks read by concurrent probes),
 # and the network layer (protocol parser + wire framing + the loopback
 # server), whose framers chew on byte-split and oversized input. The
 # bitmap differential rig rides along: its gather-based AVX2 lower-bound
@@ -27,12 +29,12 @@ build_dir=${1:-"$repo_root/build-asan"}
 
 cmake -B "$build_dir" -S "$repo_root" -DSSJOIN_ASAN=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$build_dir" -j --target \
+cmake --build "$build_dir" -j "${CMAKE_BUILD_PARALLEL_LEVEL:-$(nproc)}" --target \
       record_view_test corpus_test segmented_corpus_test index_test \
       merge_opt_test bitmap_filter_test arena_equivalence_test \
-      differential_test file_io_test serve_recovery_test protocol_test \
-      net_loopback_test
+      differential_test file_io_test serve_recovery_test \
+      serve_memtable_test protocol_test net_loopback_test
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
 ctest --test-dir "$build_dir" \
-      -R '^(record_view|corpus|segmented_corpus|index_test|merge_opt|bitmap_filter|arena_equivalence|differential|file_io|serve_recovery|protocol|net_loopback)' \
+      -R '^(record_view|corpus|segmented_corpus|index_test|merge_opt|bitmap_filter|arena_equivalence|differential|file_io|serve_recovery|serve_memtable|protocol|net_loopback)' \
       --output-on-failure

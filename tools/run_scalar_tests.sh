@@ -20,12 +20,12 @@ repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 build_dir=${1:-"$repo_root/build-scalar"}
 
 cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$build_dir" -j --target \
+cmake --build "$build_dir" -j "${CMAKE_BUILD_PARALLEL_LEVEL:-$(nproc)}" --target \
       merge_opt_test bitmap_filter_test differential_test \
       arena_equivalence_test join_equivalence_test prefix_filter_test \
-      serve_test serve_shard_test
+      serve_test serve_shard_test serve_memtable_test
 SSJOIN_FORCE_SCALAR=1
 export SSJOIN_FORCE_SCALAR
 ctest --test-dir "$build_dir" \
-      -R '(merge_opt|bitmap_filter|differential|arena_equivalence|join_equivalence|prefix_filter|serve_test|serve_shard_test)' \
+      -R '(merge_opt|bitmap_filter|differential|arena_equivalence|join_equivalence|prefix_filter|serve_test|serve_shard_test|serve_memtable)' \
       --output-on-failure
